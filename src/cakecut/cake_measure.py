@@ -20,6 +20,11 @@ class CakeError(ValueError):
     """Invalid cake, density, or query."""
 
 
+class InvariantError(AssertionError):
+    """An exactness invariant of the library failed: a bug, not bad input.
+    Raised explicitly, so the checks still run under python -O."""
+
+
 def _rat(x) -> Rat:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -97,7 +102,7 @@ class Density:
             raise CakeError("density/grid slice count mismatch")
         if any(v < 0 for v in values):
             raise CakeError("densities must be nonnegative")
-        if self.total <= 0:
+        if not any(values):  # slices have positive length
             raise CakeError("agent must value the cake positively")
 
     @cached_property
@@ -107,13 +112,6 @@ class Density:
         for length, v in zip(self.grid.lengths, self.values):
             acc.append(acc[-1] + length * v)
         return tuple(acc)
-
-    @property
-    def total(self) -> Rat:
-        acc = Fraction(0)
-        for length, v in zip(self.grid.lengths, self.values):
-            acc += length * v
-        return acc
 
     def prefix_at(self, x: Rat) -> Rat:
         """Value of [0, x]."""
@@ -321,25 +319,54 @@ def append(p: Problem, extra_lengths: Sequence, extra_rows: dict[str, Sequence])
 
 
 def parse_rat(s) -> Rat:
-    """Parse "p/q" or an integer string/number into an exact rational."""
+    """Parse "p/q" or an integer string/number into an exact rational.
+
+    JSON floats (and booleans, which are ints in Python) are refused: a
+    float such as 1.1 is not the rational it was written as.
+    """
+    if isinstance(s, (float, bool)):
+        raise CakeError(f"bad rational {s!r}: write it as a \"p/q\" string")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError) as e:
         raise CakeError(f"bad rational {s!r}") from e
 
 
+def parse_list(x, what: str) -> list:
+    """A JSON array; a string or object in its place is refused rather than
+    iterated character by character or key by key."""
+    if not isinstance(x, list):
+        raise CakeError(f"{what} must be a list, got {x!r}")
+    return x
+
+
+def parse_name(x) -> str:
+    if not isinstance(x, str):
+        raise CakeError(f"agent name must be a string, got {x!r}")
+    return x
+
+
 def format_rat(x: Rat) -> str:
     return str(x)
 
 
-def problem_from_json(obj) -> Problem:
+def _slices_and_agents(obj, what: str):
+    """Slice lengths, agent names and density rows of a problem-file object."""
     try:
-        lengths = [parse_rat(s["length"]) for s in obj["slices"]]
-        agents = [a["name"] for a in obj["agents"]]
-        rows = [[parse_rat(v) for v in a["densities"]] for a in obj["agents"]]
+        lengths = [parse_rat(s["length"])
+                   for s in parse_list(obj["slices"], "slices")]
+        agents = parse_list(obj["agents"], "agents")
+        names = [parse_name(a["name"]) for a in agents]
+        rows = [[parse_rat(v) for v in parse_list(a["densities"], "densities")]
+                for a in agents]
     except (KeyError, TypeError) as e:
-        raise CakeError(f"malformed problem object: {e}") from e
-    return problem(agents, lengths, rows)
+        raise CakeError(f"malformed {what} object: {e}") from e
+    return lengths, names, rows
+
+
+def problem_from_json(obj) -> Problem:
+    lengths, names, rows = _slices_and_agents(obj, "problem")
+    return problem(names, lengths, rows)
 
 
 def problem_to_json(p: Problem) -> dict:
@@ -354,13 +381,10 @@ def problem_to_json(p: Problem) -> dict:
 
 def enlargement_from_json(obj) -> tuple[list[Rat], dict[str, list[Rat]]]:
     """Extra slice lengths and per-agent densities, schema as problem files."""
-    try:
-        lengths = [parse_rat(s["length"]) for s in obj["slices"]]
-        rows = {a["name"]: [parse_rat(v) for v in a["densities"]]
-                for a in obj["agents"]}
-    except (KeyError, TypeError) as e:
-        raise CakeError(f"malformed enlargement object: {e}") from e
-    return lengths, rows
+    lengths, names, rows = _slices_and_agents(obj, "enlargement")
+    if len(set(names)) != len(names):
+        raise CakeError("enlargement lists an agent twice")
+    return lengths, dict(zip(names, rows))
 
 
 def remove_agent(p: Problem, name: str) -> Problem:

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .cake_measure import (
     CakeError,
     Problem,
-    append,
     enlargement_from_json,
     problem_from_json,
 )
@@ -103,8 +102,11 @@ def _cmd_divide(args) -> int:
     _print_utilities(p, x, rule.mode, args.decimal)
     payload = json.dumps(division_to_json(x))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as e:
+            raise CakeError(f"cannot write {args.output}: {e}") from e
     else:
         print(f"division: {payload}")
     return 0
@@ -245,6 +247,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.decimal is not None and args.decimal < 0:
+            raise CakeError("--decimal must be nonnegative")
         return args.func(args)
     except CakeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,19 +11,23 @@ exact parametric sweep over a uniform slack parameter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cake_measure import (
     CakeError,
-    Density,
     Interval,
+    InvariantError,
     Problem,
     Rat,
+    format_rat,
     leftmost_mark,
     maximal_mark,
     merge_components,
+    parse_list,
+    parse_name,
+    parse_rat,
     suffix_mark,
     total,
     value,
@@ -78,22 +82,22 @@ def validate_division(p: Problem, x: Division) -> None:
 
 
 def division_from_json(obj) -> Division:
-    from .cake_measure import parse_rat
-
     try:
-        pieces = {
-            entry["agent"]: [Interval(parse_rat(lo), parse_rat(hi))
-                             for lo, hi in entry["intervals"]]
-            for entry in obj
-        }
+        entries = [
+            (parse_name(entry["agent"]),
+             tuple(Interval(parse_rat(lo), parse_rat(hi))
+                   for lo, hi in parse_list(entry["intervals"], "intervals")))
+            for entry in parse_list(obj, "division")
+        ]
     except (KeyError, TypeError, ValueError) as e:
         raise CakeError(f"malformed division object: {e}") from e
-    return Division.of(pieces)
+    agents = [a for a, _ in entries]
+    if len(set(agents)) != len(agents):
+        raise CakeError("division lists an agent twice")
+    return Division(tuple(entries))
 
 
 def division_to_json(x: Division) -> list:
-    from .cake_measure import format_rat
-
     return [
         {"agent": a, "intervals": [[format_rat(iv.lo), format_rat(iv.hi)]
                                    for iv in ivs]}
@@ -309,7 +313,25 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
         if stuck:
             return theta
         theta = min(e for e in events if e > theta)
-        assert _greedy_raw(dens, alphas, betas, theta) is not None
+        if _greedy_raw(dens, alphas, betas, theta) is None:
+            raise InvariantError(f"sweep stepped to infeasible theta {theta}")
+
+
+def _sup_from_floor(p: Problem, pi: Sequence[str], alphas: Sequence[Rat],
+                    betas: Sequence[Rat], floor: Rat) -> Optional[Rat]:
+    """The sweep's supremum for this ordering if it is at least floor, else
+    None.
+
+    Targets never decrease in theta and marks are monotone in their
+    targets, so every theta below a feasible one is feasible: one greedy
+    pass at floor decides whether the supremum reaches floor, and when it
+    does the sweep from floor ends at the same exact supremum as a sweep
+    from any lower feasible start.
+    """
+    dens = [p.density(a) for a in pi]
+    if _greedy_raw(dens, alphas, betas, floor) is None:
+        return None
+    return sup_uniform_feasible(p, pi, alphas, betas, floor)
 
 
 def _greedy_raw(dens, alphas, betas, theta):
@@ -323,12 +345,16 @@ def _greedy_raw(dens, alphas, betas, theta):
     return pos
 
 
+def _slack_line(p: Problem, pi: Sequence[str], base: UtilityVector):
+    """Targets u_i + delta * V_i along pi, as (alphas, betas)."""
+    return ([base.absolute[a] for a in pi], [total(p.density(a)) for a in pi])
+
+
 def max_slack(p: Problem, pi: Sequence[str], base: UtilityVector) -> Rat:
     """Maximum uniform slack delta such that a connected pi-partition gives
     every agent at least u_i + delta * V_i; negative when even the base
     utilities are infeasible in this ordering."""
-    alphas = [base.absolute[a] for a in pi]
-    betas = [total(p.density(a)) for a in pi]
+    alphas, betas = _slack_line(p, pi, base)
     start = min(-u / v for u, v in zip(alphas, betas))
     return sup_uniform_feasible(p, pi, alphas, betas, start)
 
@@ -351,23 +377,29 @@ class EfficiencyResult:
 def check_wpo_connected(p: Problem, x: Division) -> EfficiencyResult:
     """False iff some connected partition is strictly better for every agent.
 
-    Complete over connected partitions: sweeps all orderings, reporting the
-    lexicographically first ordering that admits positive uniform slack,
-    with a verified witness at half the maximal slack.
+    Complete over connected partitions: reports the lexicographically first
+    ordering that admits positive uniform slack, with a verified witness at
+    half its maximal slack.  Each ordering is swept from the floor delta = 0:
+    one that cannot give every agent its base utility has negative
+    max_slack and is skipped after a single greedy pass; any other sweeps
+    to the same delta as max_slack.
     """
     base = utilities(p, x, CONNECTED)
     for pi in itertools.permutations(p.agents):
-        delta = max_slack(p, pi, base)
-        if delta > 0:
+        delta = _sup_from_floor(p, pi, *_slack_line(p, pi, base), Fraction(0))
+        if delta is not None and delta > 0:
             targets = {
                 a: base.absolute[a] + delta / 2 * total(p.density(a))
                 for a in p.agents
             }
             cuts = greedy_fit(p, pi, targets)
-            assert cuts is not None
+            if cuts is None:
+                raise InvariantError("half the maximal slack must fit")
             witness = division_from_cuts(p, pi, cuts)
             wu = utilities(p, witness, CONNECTED)
-            assert all(wu.absolute[a] > base.absolute[a] for a in p.agents)
+            if not all(wu.absolute[a] > base.absolute[a] for a in p.agents):
+                raise InvariantError("WPO witness must strictly improve "
+                                     "every agent")
             return EfficiencyResult(False, pi, witness, wu)
     return EfficiencyResult(True)
 
@@ -385,6 +417,9 @@ def check_po_connected(p: Problem, x: Division) -> EfficiencyResult:
             best, witness = result
             if best > base.absolute[pivot]:
                 wu = utilities(p, witness, CONNECTED)
-                assert all(wu.absolute[a] >= base.absolute[a] for a in p.agents)
+                if not all(wu.absolute[a] >= base.absolute[a]
+                           for a in p.agents):
+                    raise InvariantError("PO witness must weakly improve "
+                                         "every agent")
                 return EfficiencyResult(False, tuple(pi), witness, wu)
     return EfficiencyResult(True)

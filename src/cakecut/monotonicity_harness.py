@@ -11,9 +11,9 @@ reverse change some division weakly worse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import rules_classic, rules_monotone
 from .cake_measure import (
@@ -34,8 +34,6 @@ from .divisions import (
     ABSOLUTE,
     Division,
     check_ef,
-    check_equitable,
-    check_esv,
     check_prop,
     check_po_connected,
     check_wpo_connected,
@@ -44,7 +42,6 @@ from .divisions import (
     nash_product,
     utilities,
 )
-from .rules_monotone import equitable_for_ordering, equitable_value_oracle
 
 
 @dataclass(frozen=True)

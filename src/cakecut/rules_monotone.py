@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from .cake_measure import (
     CakeError,
     Interval,
+    InvariantError,
     Problem,
     Rat,
     leftmost_mark,
@@ -24,10 +25,9 @@ from .divisions import (
     ABSOLUTE,
     RELATIVE,
     Division,
-    UtilityVector,
+    _sup_from_floor,
     division_from_cuts,
     sup_uniform_feasible,
-    utilities,
 )
 
 
@@ -73,7 +73,9 @@ def exact_proportional(p: Problem) -> Division:
         for a in remaining:
             d = p.density(a)
             y = leftmost_mark(d, start, total(d) / p.n)
-            assert y is not None, "discarded prefixes never exceed 1/n shares"
+            if y is None:
+                raise InvariantError("discarded prefixes never exceed 1/n "
+                                     "shares")
             marks.append((y, p.index(a), a))
         y, _, winner = min(marks)
         pieces[winner] = [Interval(start, y)]
@@ -93,7 +95,8 @@ def rightmost_mark_rule(p: Problem) -> Division:
     for a in p.agents:
         d = p.density(a)
         y = rightmost_mark(d, total(d) / 2)
-        assert y is not None
+        if y is None:
+            raise InvariantError("every agent has a half-value mark")
         marks[a] = y
     if marks[second] >= marks[first]:
         right_agent, cut = second, marks[second]
@@ -162,7 +165,8 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str],
     result = EquitableResult(pi, tuple(x[:-1]), t, mode)
     lo = Fraction(0)
     for a, d, sc, hi in zip(pi, dens, s, x):
-        assert value(d, Interval(lo, hi)) == t * sc
+        if value(d, Interval(lo, hi)) != t * sc:
+            raise InvariantError(f"piece of {a} is not worth {t} * scale")
         lo = hi
     return result
 
@@ -179,19 +183,34 @@ def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
 def max_equitable(p: Problem, mode: str) -> RuleOutput:
     """Equitable rule: maximize the common (relative or absolute) value over
     all agent orderings; returns the simulated divisions of all argmax
-    orderings.  The oracle and the simulation must agree exactly."""
+    orderings, in permutation order.  The oracle and the simulation must
+    agree exactly.
+
+    Each ordering's oracle sweep starts from a floor: the best value so far,
+    or before that the proportional bound L = min_i(V_i / scale_i) / n (1/n
+    in relative mode, min_i V_i / n in absolute mode), which the ordering of
+    exact_proportional reaches.  An ordering whose targets do not fit at the
+    floor is worth less than the best and is skipped after one greedy pass.
+    """
     rule = f"{mode}-equitable"
-    best: Optional[Rat] = None
+    scale = _scales(p, mode)
+    zeros = [Fraction(0)] * p.n
+    best = min(total(d) / scale[a] for a, d in zip(p.agents, p.densities)) / p.n
     winners: list[tuple[str, ...]] = []
     for pi in itertools.permutations(p.agents):
-        v = equitable_value_oracle(p, pi, mode)
-        if best is None or v > best:
+        v = _sup_from_floor(p, pi, zeros, [scale[a] for a in pi], best)
+        if v is None:
+            continue
+        if v > best or not winners:
             best, winners = v, [pi]
-        elif v == best:
+        else:  # v == best
             winners.append(pi)
+    if not winners:
+        raise CakeError("no ordering reaches the proportional bound")
     divisions = []
     for pi in winners:
         sim = equitable_for_ordering(p, pi, mode)
-        assert sim.value == best, "simulation and oracle disagree"
+        if sim.value != best:
+            raise InvariantError("simulation and oracle disagree")
         divisions.append(sim.division(p))
     return RuleOutput(rule, divisions, best, winners)

@@ -15,7 +15,9 @@ from cakecut.cake_measure import (
     leftmost_mark,
     maximal_mark,
     merge_components,
+    parse_rat,
     problem,
+    problem_from_json,
     remove_agent,
     rightmost_mark,
     suffix_mark,
@@ -177,6 +179,40 @@ class TestProblemTransforms:
     def test_zero_total_rejected(self):
         with pytest.raises(CakeError):
             dens([1, 1], [0, 0])
+
+
+class TestJsonBoundary:
+    GOOD = {"slices": [{"length": "1"}, {"length": "1/2"}],
+            "agents": [{"name": "A", "densities": ["2", 0]}]}
+
+    def test_exact_inputs_parse(self):
+        assert parse_rat("3/6") == F(1, 2)
+        assert parse_rat(7) == 7
+        p = problem_from_json(self.GOOD)
+        assert (p.agents, total(p.density("A"))) == (("A",), 2)
+
+    @pytest.mark.parametrize("x", [1.1, 2.0, True, False])
+    def test_floats_and_bools_rejected(self, x):
+        with pytest.raises(CakeError, match="bad rational"):
+            parse_rat(x)
+
+    @pytest.mark.parametrize("key, new", [
+        ("slices", "55"),
+        ("agents", {"name": "A", "densities": ["5", "5"]}),
+    ])
+    def test_non_list_sections_rejected(self, key, new):
+        with pytest.raises(CakeError, match=f"{key} must be a list"):
+            problem_from_json({**self.GOOD, key: new})
+
+    def test_string_densities_rejected(self):
+        obj = {**self.GOOD, "agents": [{"name": "A", "densities": "55"}]}
+        with pytest.raises(CakeError, match="densities must be a list"):
+            problem_from_json(obj)
+
+    def test_non_string_name_rejected(self):
+        obj = {**self.GOOD, "agents": [{"name": 3, "densities": ["1", "1"]}]}
+        with pytest.raises(CakeError, match="agent name must be a string"):
+            problem_from_json(obj)
 
 
 @st.composite

@@ -245,3 +245,79 @@ class TestOtherCommands:
         runs = [run(capsys, "divide", "--rule", "banach-knaster",
                     "--problem", prob) for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+def _with(obj, path, new):
+    """Deep copy of a JSON object with obj[path...] replaced by new."""
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return obj
+
+
+class TestMalformedInput:
+    """Bad input files exit 2 with a message, never a silent wrong answer."""
+
+    @pytest.mark.parametrize("path, new, message", [
+        (("slices", 0, "length"), 1.1, "bad rational 1.1"),
+        (("agents", 0, "densities", 0), 1.5, "bad rational 1.5"),
+        (("agents", 0, "densities", 0), True, "bad rational True"),
+        (("agents", 0, "densities"), "1111", "densities must be a list"),
+        (("slices",), "1111", "slices must be a list"),
+        (("agents",), {"A": ["1"]}, "agents must be a list"),
+        (("agents", 0, "name"), 3, "agent name must be a string"),
+    ], ids=["float-length", "float-density", "bool-density",
+            "string-densities", "string-slices", "object-agents",
+            "int-name"])
+    def test_bad_problem_exits_2(self, files, capsys, path, new, message):
+        prob = files("p.json", _with(CC_SMALL, path, new))
+        code, out, err = run(capsys, "divide", "--rule", "cut-and-choose",
+                             "--problem", prob)
+        assert (code, out) == (2, [])
+        assert message in err
+
+    def test_duplicate_agent_in_division_exits_2(self, files, capsys):
+        prob = files("p.json", CC_SMALL)
+        div = files("d.json", [
+            {"agent": "A", "intervals": [["0", "1"]]},
+            {"agent": "B", "intervals": [["1", "4"]]},
+            {"agent": "A", "intervals": [["3", "4"]]},
+        ])
+        code, out, err = run(capsys, "check", "--problem", prob,
+                             "--division", div, "--properties", "prop")
+        assert (code, out) == (2, [])
+        assert "division lists an agent twice" in err
+
+    def test_int_agent_in_division_exits_2(self, files, capsys):
+        prob = files("p.json", CC_SMALL)
+        div = files("d.json", [{"agent": 3, "intervals": [["0", "1"]]}])
+        code, _, err = run(capsys, "check", "--problem", prob,
+                           "--division", div, "--properties", "prop")
+        assert code == 2
+        assert "agent name must be a string" in err
+
+    def test_duplicate_agent_in_enlargement_exits_2(self, files, capsys):
+        prob = files("p.json", CC_SMALL)
+        extra = _with(CC_EXTRA, ("agents", 1, "name"), "A")
+        code, _, err = run(capsys, "monotonicity", "rm", "--rule",
+                           "cut-and-choose", "--problem", prob,
+                           "--enlargement", files("e.json", extra))
+        assert code == 2
+        assert "enlargement lists an agent twice" in err
+
+    def test_negative_decimal_exits_2(self, files, capsys):
+        prob = files("p.json", CC_SMALL)
+        code, out, err = run(capsys, "--decimal", "-3", "divide", "--rule",
+                             "cut-and-choose", "--problem", prob)
+        assert (code, out) == (2, [])
+        assert "--decimal must be nonnegative" in err
+
+    def test_unwritable_output_exits_2(self, files, capsys, tmp_path):
+        prob = files("p.json", CC_SMALL)
+        code, _, err = run(capsys, "divide", "--rule", "cut-and-choose",
+                           "--problem", prob, "--output",
+                           str(tmp_path / "missing" / "division.json"))
+        assert code == 2
+        assert "cannot write" in err

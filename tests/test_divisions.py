@@ -80,6 +80,22 @@ class TestValidation:
         x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 4)]})
         assert division_from_json(division_to_json(x)) == x
 
+    def test_json_duplicate_agent_rejected(self):
+        obj = [{"agent": "A", "intervals": [["0", "1"]]},
+               {"agent": "A", "intervals": [["2", "3"]]}]
+        with pytest.raises(CakeError, match="lists an agent twice"):
+            division_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [{"agent": 3, "intervals": [["0", "1"]]}],
+        [{"agent": "A", "intervals": [[0.5, "1"]]}],
+        [{"agent": "A", "intervals": "01"}],
+        {"agent": "A", "intervals": [["0", "1"]]},
+    ], ids=["int-agent", "float-endpoint", "string-intervals", "object"])
+    def test_json_malformed_rejected(self, obj):
+        with pytest.raises(CakeError, match="malformed division"):
+            division_from_json(obj)
+
 
 class TestAxioms:
     def test_prop_boundary(self):

@@ -1,0 +1,56 @@
+"""Source hygiene of the library, checked with the stdlib ast module: no
+unused imports, and no bare assert statements (python -O strips them, so
+the library raises its invariant errors explicitly)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "cakecut").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def unused_imports(tree) -> list[str]:
+    """Imported names never read.  The library uses postponed annotations,
+    so a type named only in an annotation still appears as a Name node."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+# __init__.py imports names only to re-export them
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+def test_unused_import_finder_sees_unused_and_used_names():
+    tree = ast.parse("import os\nfrom typing import Optional, Sequence\n"
+                     "def f(x: Optional[int]) -> 'os': return Sequence\n")
+    assert unused_imports(tree) == ["os (line 1)"]
+
+
+def test_sources_found():
+    assert {"__init__.py", "divisions.py", "rules_monotone.py"} <= {
+        p.name for p in SOURCES}

@@ -1,12 +1,23 @@
 """Monotone rules: exact-proportional, equitable (simulation + oracle),
 and the two-agent rightmost-mark rule."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from cakecut.cake_measure import CakeError, Interval, append, problem
+from cakecut import rules_monotone
+from cakecut.cake_measure import (
+    CakeError,
+    Interval,
+    InvariantError,
+    append,
+    problem,
+)
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
@@ -180,3 +191,36 @@ class TestMaxEquitable:
         assert sorted(rel.orderings) == [("B", "A", "C"), ("B", "C", "A")]
         assert check_esv(p, rel.divisions)
         assert any(not check_ef(p, x) for x in rel.divisions)
+
+
+class TestSelfChecks:
+    def test_simulation_oracle_disagreement_raises(self, monkeypatch):
+        real = rules_monotone.equitable_for_ordering
+
+        def skewed(p, pi, mode):
+            sim = real(p, pi, mode)
+            return dataclasses.replace(sim, value=sim.value + 1)
+
+        monkeypatch.setattr(rules_monotone, "equitable_for_ordering", skewed)
+        with pytest.raises(InvariantError,
+                           match="simulation and oracle disagree"):
+            max_equitable(halves_pair(), RELATIVE)
+
+    def test_disagreement_raises_under_python_O(self):
+        code = (
+            "import dataclasses\n"
+            "from cakecut import rules_monotone as rm\n"
+            "from cakecut.cake_measure import InvariantError, problem\n"
+            "real = rm.equitable_for_ordering\n"
+            "rm.equitable_for_ordering = lambda p, pi, mode: "
+            "dataclasses.replace(real(p, pi, mode), value=0)\n"
+            "p = problem(['A', 'B'], [1, 1], [[1, 1], [1, 3]])\n"
+            "try:\n"
+            "    rm.max_equitable(p, 'relative')\n"
+            "except InvariantError as e:\n"
+            "    print(e)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == "simulation and oracle disagree\n"
