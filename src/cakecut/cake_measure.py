@@ -2,15 +2,18 @@
 
 The cake is the interval [0, c].  A SliceGrid partitions it into finitely
 many slices of positive length; a Density assigns one constant nonnegative
-value density to each slice.  All arithmetic is exact rational.
+value density to each slice.  All arithmetic is exact rational; lookups
+run on integer-scaled keys (see SliceGrid and Density), and each result
+is built as one normalised Fraction.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -50,9 +53,35 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+def _scaled(xs: Sequence[Rat]) -> tuple[int, tuple[int, ...]]:
+    """(m, keys): m = lcm of the denominators of xs, keys[i] = xs[i] * m."""
+    m = lcm(*(x.denominator for x in xs))
+    return m, tuple(x.numerator * (m // x.denominator) for x in xs)
+
+
+def _locate(keys: tuple[int, ...], scale: int, num: int, den: int):
+    """Place the rational num/den (den > 0) among sorted integer keys that
+    stand for keys[i] / scale, exactly and without building a Fraction.
+
+    Returns (k, q, r) with q, r = divmod(num * scale, den), so q is the
+    floor of num/den * scale, and k = bisect_right(keys, q) - 1.  For an
+    integer key B, B <= num/den * scale holds exactly when B <= q; hence
+    keys[k] <= num/den * scale < keys[k + 1], and num/den * scale equals
+    keys[k] exactly when r == 0 and keys[k] == q.
+    """
+    q, r = divmod(num * scale, den)
+    return bisect_right(keys, q) - 1, q, r
+
+
 @dataclass(frozen=True)
 class SliceGrid:
-    """Partition of [0, c] into slices of strictly positive length."""
+    """Partition of [0, c] into slices of strictly positive length.
+
+    Point lookups run on integers: ``scaled`` holds S, the lcm of the
+    length denominators, and every breakpoint times S, so a point x is
+    placed by comparing the integer floor(x * S) with those integers (see
+    ``_locate``), which is exact.
+    """
 
     lengths: tuple[Rat, ...]
 
@@ -71,26 +100,50 @@ class SliceGrid:
             pts.append(pts[-1] + x)
         return tuple(pts)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(S, B): S = lcm of the breakpoint (equally, length) denominators,
+        B[k] = breakpoints[k] * S as an int."""
+        return _scaled(self.breakpoints)
+
     @property
     def cake_length(self) -> Rat:
         return self.breakpoints[-1]
 
     def slice_right_of(self, x: Rat) -> int:
         """Index of the slice immediately to the right of x (requires x < c)."""
-        if x < 0 or x >= self.cake_length:
+        s, b = self.scaled
+        k, q, _ = _locate(b, s, x.numerator, x.denominator)
+        if q < 0 or q >= b[-1]:  # x < 0 or x >= c
             raise CakeError(f"point {x} has no slice to its right")
-        return bisect.bisect_right(self.breakpoints, x) - 1
+        return k
 
     def next_breakpoint(self, x: Rat) -> Rat:
         """Smallest breakpoint strictly greater than x (requires x < c)."""
-        if x >= self.cake_length:
+        s, b = self.scaled
+        k, q, _ = _locate(b, s, x.numerator, x.denominator)
+        if q >= b[-1]:  # x >= c
             raise CakeError(f"no breakpoint beyond {x}")
-        return self.breakpoints[bisect.bisect_right(self.breakpoints, x)]
+        return self.breakpoints[k + 1]
+
+
+def _outside(grid: SliceGrid, x: Rat) -> bool:
+    """x < 0 or x > c, by integer cross-multiplication."""
+    s, b = grid.scaled
+    return x.numerator < 0 or x.numerator * s > b[-1] * x.denominator
 
 
 @dataclass(frozen=True)
 class Density:
-    """Per-slice constant densities on a grid; total value must be positive."""
+    """Per-slice constant densities on a grid; total value must be positive.
+
+    Lookups by value run on integers: ``scaled`` holds K, P and R, where
+    prefix[k] = P[k] / K and values[k] = R[k] * S / K for the grid's scale
+    S.  K is the lcm of the denominators of the prefix sums and of the
+    values[k] / S, so all of P and R are ints.  A goal value g is placed
+    among the prefix sums by comparing floor(g * K) with P, which is exact
+    for the same reason as point lookups on the grid.
+    """
 
     grid: SliceGrid
     values: tuple[Rat, ...]
@@ -113,14 +166,29 @@ class Density:
             acc.append(acc[-1] + length * v)
         return tuple(acc)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(K, P, R): P[k] = prefix[k] * K and R[k] = values[k] * K / S,
+        all ints (S is the grid's scale)."""
+        s = self.grid.scaled[0]
+        rates = tuple(Fraction(v.numerator, v.denominator * s)
+                      for v in self.values)
+        m, keys = _scaled(self.prefix + rates)
+        n = len(self.prefix)
+        return m, keys[:n], keys[n:]
+
     def prefix_at(self, x: Rat) -> Rat:
         """Value of [0, x]."""
-        if x < 0 or x > self.grid.cake_length:
+        if _outside(self.grid, x):
             raise CakeError(f"point {x} outside cake")
-        if x == self.grid.cake_length:
+        s, b = self.grid.scaled
+        xd = x.denominator
+        k, q, r = _locate(b, s, x.numerator, xd)
+        if q == b[-1]:  # x <= c and x * S >= C, so x == c
             return self.prefix[-1]
-        k = self.grid.slice_right_of(x)
-        return self.prefix[k] + self.values[k] * (x - self.grid.breakpoints[k])
+        # K * value = P[k] + R[k] * (x * S - B[k]), and x * S = q + r / xd
+        m, p, rate = self.scaled
+        return Fraction(p[k] * xd + rate[k] * ((q - b[k]) * xd + r), m * xd)
 
     def density_right_of(self, x: Rat) -> Rat:
         """Constant density on the slice immediately right of x."""
@@ -134,7 +202,7 @@ def total(d: Density) -> Rat:
 
 def value(d: Density, iv: Interval) -> Rat:
     """Exact integral of the step density over the interval."""
-    if iv.hi > d.grid.cake_length:
+    if _outside(d.grid, iv.hi):
         raise CakeError(f"interval {iv} outside cake")
     return d.prefix_at(iv.hi) - d.prefix_at(iv.lo)
 
@@ -168,6 +236,17 @@ def value_piece(d: Density, piece: Iterable[Interval], mode: str) -> Rat:
     raise CakeError(f"unknown utility mode {mode!r}")
 
 
+def _goal_point(d: Density, k: int, q: int, r: int, den: int) -> Rat:
+    """The point of slice k at which the prefix value reaches the goal
+    g = num/den, given q, r = divmod(num * K, den) with P[k] < g * K <
+    P[k + 1] (so the slice's density is positive)."""
+    s, b = d.grid.scaled
+    _, p, rate = d.scaled
+    # x = B[k] / S + (g * K - P[k]) / (R[k] * S), and g * K = q + r / den
+    return Fraction((b[k] * rate[k] + q - p[k]) * den + r,
+                    rate[k] * s * den)
+
+
 def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     """Minimum y >= start with value [start, y] == target, or None.
 
@@ -175,26 +254,29 @@ def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     positive run, the mark is the run's right end, before any zero stretch.
     """
     start, target = _rat(start), _rat(target)
-    if target < 0:
+    tn, td = target.numerator, target.denominator
+    if tn < 0:
         raise CakeError("target must be nonnegative")
-    if start < 0 or start > d.grid.cake_length:
+    if _outside(d.grid, start):
         raise CakeError(f"start {start} outside cake")
-    if target == 0:
+    if tn == 0:
         return start
-    goal = d.prefix_at(start) + target
-    if goal > d.prefix[-1]:
+    base = d.prefix_at(start)
+    # goal = base + target = num / den, not reduced
+    den = base.denominator * td
+    num = base.numerator * td + tn * base.denominator
+    m, p, _ = d.scaled
+    if num * m > p[-1] * den:
         return None
-    bps = d.grid.breakpoints
-    k = bisect.bisect_right(d.prefix, goal) - 1
-    # prefix[k] <= goal < prefix[k+1] unless goal sits on a plateau; back up to
-    # the first breakpoint achieving the goal value.
-    if k == len(bps) - 1 or d.prefix[k] == goal:
-        while k > 0 and d.prefix[k - 1] == goal:
-            k -= 1
-        y = bps[k]
-    else:
-        y = bps[k] + (goal - d.prefix[k]) / d.values[k]
-    return y if y >= start else start
+    # the goal exceeds the value at start, so the mark lies beyond start
+    k, q, r = _locate(p, m, num, den)
+    if r or p[k] != q:
+        return _goal_point(d, k, q, r, den)
+    # the goal sits on a breakpoint value; back up to the first breakpoint
+    # achieving it
+    while k > 0 and p[k - 1] == q:
+        k -= 1
+    return d.grid.breakpoints[k]
 
 
 def rightmost_mark(d: Density, target: Rat) -> Optional[Rat]:
@@ -210,34 +292,43 @@ def maximal_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     y = leftmost_mark(d, start, target)
     if y is None:
         return None
-    while y < d.grid.cake_length:
-        k = d.grid.slice_right_of(y)
-        if d.values[k] != 0:
-            break
-        y = d.grid.breakpoints[k + 1]
-    return y
+    s, b = d.grid.scaled
+    rate = d.scaled[2]
+    j, q, _ = _locate(b, s, y.numerator, y.denominator)
+    k = j
+    while q < b[-1] and rate[k] == 0:  # y < c, zero density right of it
+        k += 1
+        q = b[k]
+    return y if k == j else d.grid.breakpoints[k]
 
 
 def suffix_mark(d: Density, end: Rat, target: Rat) -> Optional[Rat]:
     """Maximum x <= end with value [x, end] == target, or None."""
     end, target = _rat(end), _rat(target)
-    if target < 0:
+    tn, td = target.numerator, target.denominator
+    if tn < 0:
         raise CakeError("target must be nonnegative")
-    if end < 0 or end > d.grid.cake_length:
+    if _outside(d.grid, end):
         raise CakeError(f"end {end} outside cake")
-    goal = d.prefix_at(end) - target
-    if goal < 0:
+    base = d.prefix_at(end)
+    if tn == 0:
+        # the last point with the value at end is end itself or lies
+        # beyond it
+        return end
+    # goal = base - target = num / den, not reduced; it is below the value
+    # at end, so the mark lies before end
+    den = base.denominator * td
+    num = base.numerator * td - tn * base.denominator
+    if num < 0:
         return None
-    bps = d.grid.breakpoints
-    k = bisect.bisect_right(d.prefix, goal) - 1
-    if d.prefix[k] == goal:
-        # advance to the last breakpoint still achieving the goal value
-        while k + 1 < len(d.prefix) and d.prefix[k + 1] == goal:
-            k += 1
-        x = bps[k]
-    else:
-        x = bps[k] + (goal - d.prefix[k]) / d.values[k]
-    return min(x, end)
+    m, p, _ = d.scaled
+    k, q, r = _locate(p, m, num, den)
+    if r or p[k] != q:
+        return _goal_point(d, k, q, r, den)
+    # advance to the last breakpoint still achieving the goal value
+    while k + 1 < len(p) and p[k + 1] == q:
+        k += 1
+    return d.grid.breakpoints[k]
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,9 @@ def _cmd_check(args) -> int:
         if name not in PROPERTIES:
             raise CakeError(f"unknown property {name!r}")
     mode = args.utility_mode
+    if mode != CONNECTED and {"wpo", "po"} & set(props):
+        raise CakeError("wpo and po are checked over connected partitions "
+                        "only; use --utility-mode connected")
     failed = False
     for name in props:
         if name == "prop":

@@ -81,12 +81,20 @@ def validate_division(p: Problem, x: Division) -> None:
 # Division file format: [{"agent": ..., "intervals": [["p/q", "p/q"], ...]}, ...]
 
 
+def _interval_from_json(pair) -> Interval:
+    """A [lo, hi] JSON array; a string or object is refused rather than
+    unpacked character by character or key by key."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise CakeError(f"interval must be a [lo, hi] array, got {pair!r}")
+    return Interval(parse_rat(pair[0]), parse_rat(pair[1]))
+
+
 def division_from_json(obj) -> Division:
     try:
         entries = [
             (parse_name(entry["agent"]),
-             tuple(Interval(parse_rat(lo), parse_rat(hi))
-                   for lo, hi in parse_list(entry["intervals"], "intervals")))
+             tuple(_interval_from_json(pair)
+                   for pair in parse_list(entry["intervals"], "intervals")))
             for entry in parse_list(obj, "division")
         ]
     except (KeyError, TypeError, ValueError) as e:

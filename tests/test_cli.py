@@ -165,6 +165,29 @@ class TestCheck:
         assert code == 2
         assert "unknown property" in err
 
+    @pytest.mark.parametrize("prop", ["wpo", "po", "prop,po"])
+    def test_efficiency_under_additive_mode_exits_2(self, files, capsys,
+                                                    prop):
+        # the crumbs cake: A = [1,2]+[3,4], B = [0,1]+[2,3] is worth 4 to
+        # each agent additively; the connected checkers would report a
+        # "witness" that is worse for both
+        prob = files("p.json", {
+            "slices": [{"length": "1"}] * 4,
+            "agents": [
+                {"name": "A", "densities": ["0", "3", "2", "1"]},
+                {"name": "B", "densities": ["2", "1", "2", "11/10"]},
+            ],
+        })
+        div = files("d.json", [
+            {"agent": "A", "intervals": [["1", "2"], ["3", "4"]]},
+            {"agent": "B", "intervals": [["0", "1"], ["2", "3"]]},
+        ])
+        code, out, err = run(capsys, "check", "--problem", prob,
+                             "--division", div, "--properties", prop,
+                             "--utility-mode", "additive")
+        assert (code, out) == (2, [])
+        assert "checked over connected partitions only" in err
+
 
 class TestMonotonicity:
     def test_rm_failure(self, files, capsys):
@@ -321,3 +344,14 @@ class TestMalformedInput:
                            str(tmp_path / "missing" / "division.json"))
         assert code == 2
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("pair", ["01", {"0": "1", "1": "2"},
+                                      ["0", "1", "2"], ["1"]],
+                             ids=["string", "object", "triple", "single"])
+    def test_non_pair_interval_exits_2(self, files, capsys, pair):
+        prob = files("p.json", CC_SMALL)
+        div = files("d.json", [{"agent": "A", "intervals": [pair]}])
+        code, out, err = run(capsys, "check", "--problem", prob,
+                             "--division", div, "--properties", "prop")
+        assert (code, out) == (2, [])
+        assert "interval must be a [lo, hi] array" in err
