@@ -90,7 +90,7 @@ class SliceGrid:
         object.__setattr__(self, "lengths", lengths)
         if not lengths:
             raise CakeError("grid needs at least one slice")
-        if any(x <= 0 for x in lengths):
+        if any(x.numerator <= 0 for x in lengths):
             raise CakeError("slice lengths must be strictly positive")
 
     @cached_property
@@ -153,7 +153,7 @@ class Density:
         object.__setattr__(self, "values", values)
         if len(values) != len(self.grid.lengths):
             raise CakeError("density/grid slice count mismatch")
-        if any(v < 0 for v in values):
+        if any(v.numerator < 0 for v in values):
             raise CakeError("densities must be nonnegative")
         if not any(values):  # slices have positive length
             raise CakeError("agent must value the cake positively")
@@ -368,9 +368,6 @@ class Problem:
             return self.agents.index(name)
         except ValueError:
             raise CakeError(f"unknown agent {name!r}") from None
-
-    def totals(self) -> dict[str, Rat]:
-        return {a: total(d) for a, d in zip(self.agents, self.densities)}
 
 
 def problem(agents: Sequence[str], lengths: Sequence, rows: Sequence[Sequence]) -> Problem:

@@ -9,6 +9,7 @@ codes: 0 success/PASS, 1 axiom or fixture FAIL, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal, localcontext
@@ -43,7 +44,7 @@ from .monotonicity_harness import (
     get_rule,
     run_fixture,
 )
-from .rules_monotone import equitable_for_ordering, max_equitable
+from .rules_monotone import max_equitable
 
 
 def _fmt(x: Fraction, places: Optional[int]) -> str:
@@ -77,28 +78,20 @@ def _print_utilities(p: Problem, x: Division, mode: str, places) -> None:
 def _cmd_divide(args) -> int:
     p = _load_problem(args.problem)
     rule = get_rule(args.rule)
-    if args.ordering:
-        if args.rule not in ("relative-equitable", "absolute-equitable"):
-            raise CakeError("--ordering applies only to the equitable rules")
-        mode = RELATIVE if args.rule.startswith("relative") else ABSOLUTE
-        sim = equitable_for_ordering(p, args.ordering.split(","), mode)
-        divisions = [sim.division(p)]
-        print(f"rule: {args.rule}")
-        print(f"ordering: {','.join(sim.ordering)}")
-        print(f"value: {_fmt(sim.value, args.decimal)}")
-    elif args.rule in ("relative-equitable", "absolute-equitable"):
-        mode = RELATIVE if args.rule.startswith("relative") else ABSOLUTE
-        out = max_equitable(p, mode)
-        divisions = out.divisions
-        print(f"rule: {args.rule}")
-        print(f"value: {_fmt(out.value, args.decimal)}")
-        print(f"orderings: {' '.join(','.join(pi) for pi in out.orderings)}")
+    if not args.ordering:
+        out = rule.run(p)
+    elif rule.for_ordering is None:
+        raise CakeError("--ordering applies only to the equitable rules")
     else:
-        if rule.arity is not None and p.n != rule.arity:
-            raise CakeError(f"{rule.name} requires exactly {rule.arity} agents")
-        divisions = rule.run(p)
-        print(f"rule: {args.rule}")
-    x = divisions[0]
+        out = rule.for_ordering(p, args.ordering.split(","))
+    print(f"rule: {rule.name}")
+    if args.ordering:
+        print(f"ordering: {args.ordering}")
+    if out.value is not None:
+        print(f"value: {_fmt(out.value, args.decimal)}")
+    if out.orderings is not None:
+        print(f"orderings: {' '.join(','.join(pi) for pi in out.orderings)}")
+    x = out.divisions[0]
     _print_utilities(p, x, rule.mode, args.decimal)
     payload = json.dumps(division_to_json(x))
     if args.output:
@@ -194,7 +187,9 @@ def _cmd_paper_tables(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="cakecut",
         description="Exact connected fair cake-cutting: rules, axiom "

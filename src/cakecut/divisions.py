@@ -282,9 +282,16 @@ def _constrained_partition(p: Problem, pi: Sequence[str], pivot: str,
 
 def sup_uniform_feasible(p: Problem, pi: Sequence[str],
                          alphas: Sequence[Rat], betas: Sequence[Rat],
-                         start: Rat) -> Rat:
+                         start: Rat) -> Optional[Rat]:
     """Largest theta such that greedy_fit succeeds with per-agent targets
-    max(0, alpha_i + beta_i * theta), for strictly positive betas.
+    max(0, alpha_i + beta_i * theta), for strictly positive betas; None
+    when start itself is infeasible, so the supremum lies below start.
+
+    Targets never decrease in theta and marks are monotone in their
+    targets, so every theta below a feasible one is feasible: one greedy
+    pass at start decides whether the supremum reaches start, and a sweep
+    from any feasible start ends at the same exact supremum.  Callers pass
+    a floor as start to skip orderings that cannot reach it.
 
     Exact event sweep: between events every cut position is an affine
     function of theta; events are cuts crossing grid breakpoints, a clamped
@@ -295,10 +302,9 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     dens = [p.density(a) for a in pi]
     if any(b <= 0 for b in betas):
         raise CakeError("sweep requires strictly positive slopes")
-    c = p.cake_length
     theta = Fraction(start)
     if _greedy_raw(dens, alphas, betas, theta) is None:
-        raise CakeError("sweep must start at a feasible parameter")
+        return None
     while True:
         pos = Fraction(0)
         slope = Fraction(0)
@@ -323,23 +329,6 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
         theta = min(e for e in events if e > theta)
         if _greedy_raw(dens, alphas, betas, theta) is None:
             raise InvariantError(f"sweep stepped to infeasible theta {theta}")
-
-
-def _sup_from_floor(p: Problem, pi: Sequence[str], alphas: Sequence[Rat],
-                    betas: Sequence[Rat], floor: Rat) -> Optional[Rat]:
-    """The sweep's supremum for this ordering if it is at least floor, else
-    None.
-
-    Targets never decrease in theta and marks are monotone in their
-    targets, so every theta below a feasible one is feasible: one greedy
-    pass at floor decides whether the supremum reaches floor, and when it
-    does the sweep from floor ends at the same exact supremum as a sweep
-    from any lower feasible start.
-    """
-    dens = [p.density(a) for a in pi]
-    if _greedy_raw(dens, alphas, betas, floor) is None:
-        return None
-    return sup_uniform_feasible(p, pi, alphas, betas, floor)
 
 
 def _greedy_raw(dens, alphas, betas, theta):
@@ -394,7 +383,8 @@ def check_wpo_connected(p: Problem, x: Division) -> EfficiencyResult:
     """
     base = utilities(p, x, CONNECTED)
     for pi in itertools.permutations(p.agents):
-        delta = _sup_from_floor(p, pi, *_slack_line(p, pi, base), Fraction(0))
+        delta = sup_uniform_feasible(p, pi, *_slack_line(p, pi, base),
+                                     Fraction(0))
         if delta is not None and delta > 0:
             targets = {
                 a: base.absolute[a] + delta / 2 * total(p.density(a))

@@ -1,6 +1,6 @@
-"""Executable resource- and population-monotonicity checks for any rule,
-plus the scripted counterexample fixture suite and the recomputed
-rule-property grid.
+"""The rule registry, executable resource- and population-monotonicity
+checks for any registered rule, the scripted counterexample fixture suite
+and the recomputed rule-property grid.
 
 Monotonicity comparisons use absolute utilities and existential semantics
 over a rule's output set: enlarging the cake (or an agent leaving) must
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import rules_classic, rules_monotone
 from .cake_measure import (
@@ -42,42 +42,50 @@ from .divisions import (
     nash_product,
     utilities,
 )
+from .rules_monotone import RuleOutput
 
 
 @dataclass(frozen=True)
 class Rule:
+    """A registered rule: the utility mode its outputs are valued in, the
+    number of agents it requires (None: any), and, for the equitable rules,
+    the same rule run in one given agent ordering."""
+
     name: str
     mode: str
     arity: Optional[int]
-    run: Callable[[Problem], list[Division]]
+    run: Callable[[Problem], RuleOutput]
+    for_ordering: Optional[Callable[[Problem, Sequence[str]], RuleOutput]] = None
 
 
-RULES: dict[str, Rule] = {}
-
-
-def _register(name: str, mode: str, arity: Optional[int], run) -> None:
-    RULES[name] = Rule(name, mode, arity, run)
-
-
-_register("exact-proportional", CONNECTED, None,
-          lambda p: [rules_monotone.exact_proportional(p)])
-_register("relative-equitable", CONNECTED, None,
-          lambda p: rules_monotone.max_equitable(p, RELATIVE).divisions)
-_register("absolute-equitable", CONNECTED, None,
-          lambda p: rules_monotone.max_equitable(p, ABSOLUTE).divisions)
-_register("rightmost-mark", CONNECTED, 2,
-          lambda p: [rules_monotone.rightmost_mark_rule(p)])
-_register("cut-and-choose", CONNECTED, 2,
-          lambda p: [rules_classic.cut_and_choose(p)])
-_register("banach-knaster", CONNECTED, None,
-          lambda p: [rules_classic.banach_knaster(p)])
-_register("dubins-spanier", CONNECTED, None,
-          lambda p: [rules_classic.dubins_spanier(p)])
-_register("even-paz", CONNECTED, None,
-          lambda p: [rules_classic.even_paz(p)])
-_register("fink", ADDITIVE, None, lambda p: [rules_classic.fink(p)])
-_register("selfridge-conway", ADDITIVE, 3,
-          lambda p: [rules_classic.selfridge_conway(p)])
+# the lambdas look each rule up at call time, so rebinding a module's
+# function (a tracer does) reaches the registered rule too
+RULES: dict[str, Rule] = {rule.name: rule for rule in (
+    Rule("exact-proportional", CONNECTED, None,
+         lambda p: RuleOutput([rules_monotone.exact_proportional(p)])),
+    Rule("relative-equitable", CONNECTED, None,
+         lambda p: rules_monotone.max_equitable(p, RELATIVE),
+         lambda p, pi: rules_monotone.equitable_for_ordering(
+             p, pi, RELATIVE).output(p)),
+    Rule("absolute-equitable", CONNECTED, None,
+         lambda p: rules_monotone.max_equitable(p, ABSOLUTE),
+         lambda p, pi: rules_monotone.equitable_for_ordering(
+             p, pi, ABSOLUTE).output(p)),
+    Rule("rightmost-mark", CONNECTED, 2,
+         lambda p: RuleOutput([rules_monotone.rightmost_mark_rule(p)])),
+    Rule("cut-and-choose", CONNECTED, 2,
+         lambda p: RuleOutput([rules_classic.cut_and_choose(p)])),
+    Rule("banach-knaster", CONNECTED, None,
+         lambda p: RuleOutput([rules_classic.banach_knaster(p)])),
+    Rule("dubins-spanier", CONNECTED, None,
+         lambda p: RuleOutput([rules_classic.dubins_spanier(p)])),
+    Rule("even-paz", CONNECTED, None,
+         lambda p: RuleOutput([rules_classic.even_paz(p)])),
+    Rule("fink", ADDITIVE, None,
+         lambda p: RuleOutput([rules_classic.fink(p)])),
+    Rule("selfridge-conway", ADDITIVE, 3,
+         lambda p: RuleOutput([rules_classic.selfridge_conway(p)])),
+)}
 
 
 def get_rule(name: str) -> Rule:
@@ -98,12 +106,8 @@ class MonotonicityVerdict:
 
 
 def _run(rule: Rule, p: Problem) -> list[tuple[Division, dict[str, Rat]]]:
-    if rule.arity is not None and p.n != rule.arity:
-        raise CakeError(f"{rule.name} requires exactly {rule.arity} agents")
-    out = []
-    for x in rule.run(p):
-        out.append((x, utilities(p, x, rule.mode).absolute))
-    return out
+    return [(x, utilities(p, x, rule.mode).absolute)
+            for x in rule.run(p).divisions]
 
 
 def _exists_verdict(axiom, direction, agents, base, other, sign) -> MonotonicityVerdict:
@@ -293,12 +297,12 @@ def _fx_noop() -> list[Claim]:
 def _fx_cc_rm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_two_agent_halves()
-    big = append(p, *CC_EXTRA)
-    u_small = utilities(p, rules_classic.cut_and_choose(p)).absolute
-    u_big = utilities(big, rules_classic.cut_and_choose(big)).absolute
+    rule = get_rule("cut-and-choose")
+    u_small = _run(rule, p)[0][1]
+    u_big = _run(rule, append(p, *CC_EXTRA))[0][1]
     _claim(claims, "cc-rm/bob-before", Fraction(6), u_small["B"])
     _claim(claims, "cc-rm/bob-after", Fraction(5), u_big["B"])
-    up, _down = check_rm("cut-and-choose", p, *CC_EXTRA)
+    up, _down = check_rm(rule, p, *CC_EXTRA)
     _claim(claims, "cc-rm/verdict", False, up.ok)
     return claims
 
@@ -306,13 +310,13 @@ def _fx_cc_rm() -> list[Claim]:
 def _fx_sc_rm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_trimming_three()
-    big = append(p, *SC_EXTRA)
-    u_small = utilities(p, rules_classic.selfridge_conway(p), ADDITIVE).absolute
-    u_big = utilities(big, rules_classic.selfridge_conway(big), ADDITIVE).absolute
+    rule = get_rule("selfridge-conway")
+    u_small = _run(rule, p)[0][1]
+    u_big = _run(rule, append(p, *SC_EXTRA))[0][1]
     _claim(claims, "sc-rm/carl-before", Fraction(8), u_small["C"])
     _claim(claims, "sc-rm/carl-after-at-most-7", True, u_big["C"] <= 7)
     _claim(claims, "sc-rm/carl-after-below-8", True, u_big["C"] < 8)
-    up, _down = check_rm("selfridge-conway", p, *SC_EXTRA)
+    up, _down = check_rm(rule, p, *SC_EXTRA)
     _claim(claims, "sc-rm/verdict", False, up.ok)
     return claims
 
@@ -336,12 +340,12 @@ def _fx_ds_pm() -> list[Claim]:
 def _fx_fink_pm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_join_order()
-    u_full = utilities(p, rules_classic.fink(p), ADDITIVE).absolute
-    reduced = remove_agent(p, "A")
-    u_red = utilities(reduced, rules_classic.fink(reduced), ADDITIVE).absolute
+    rule = get_rule("fink")
+    u_full = _run(rule, p)[0][1]
+    u_red = _run(rule, remove_agent(p, "A"))[0][1]
     _claim(claims, "fink-pm/bob-before", Fraction(8), u_full["B"])
     _claim(claims, "fink-pm/bob-after", Fraction(6), u_red["B"])
-    down, _up = check_pm("fink", p, "A")
+    down, _up = check_pm(rule, p, "A")
     _claim(claims, "fink-pm/verdict", False, down.ok)
     return claims
 
@@ -403,15 +407,16 @@ def _fx_eq_not_rm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_equitable_drop()
     big = append(p, *EQ_DROP_EXTRA)
-    small_rel = rules_monotone.max_equitable(p, RELATIVE)
-    big_rel = rules_monotone.max_equitable(big, RELATIVE)
+    rule = get_rule("relative-equitable")
+    small_rel, big_rel = rule.run(p), rule.run(big)
     _claim(claims, "eq-not-rm/small-value", Fraction(10, 11), small_rel.value)
     _claim(claims, "eq-not-rm/big-value", Fraction(1, 2), big_rel.value)
-    u_small = utilities(p, small_rel.divisions[0]).absolute
+    u_small = utilities(p, small_rel.divisions[0], rule.mode).absolute
     _claim(claims, "eq-not-rm/bob-before", Fraction(20), u_small["B"])
-    after = {utilities(big, x).absolute["B"] for x in big_rel.divisions}
+    after = {utilities(big, x, rule.mode).absolute["B"]
+             for x in big_rel.divisions}
     _claim(claims, "eq-not-rm/bob-after", {Fraction(12)}, after)
-    up, _down = check_rm("relative-equitable", p, *EQ_DROP_EXTRA)
+    up, _down = check_rm(rule, p, *EQ_DROP_EXTRA)
     _claim(claims, "eq-not-rm/relative-verdict", False, up.ok)
     verdicts = check_rm("absolute-equitable", p, *EQ_DROP_EXTRA)
     _claim(claims, "eq-not-rm/absolute-verdict", True,
@@ -442,12 +447,12 @@ def _fx_prefix_wpo() -> list[Claim]:
 def _fx_crumbs_wpo() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_crumbs()
-    x = rules_classic.fink(p)
-    u = utilities(p, x, ADDITIVE).absolute
+    rule = get_rule("fink")
+    u = _run(rule, p)[0][1]
     _claim(claims, "crumbs-wpo/output", "(3, 31/10)", _tup(u["A"], u["B"]))
     witness = Division.of({"A": [_iv(1, 2), _iv(3, 4)],
                            "B": [_iv(0, 1), _iv(2, 3)]})
-    wu = utilities(p, witness, ADDITIVE).absolute
+    wu = utilities(p, witness, rule.mode).absolute
     _claim(claims, "crumbs-wpo/witness", "(4, 4)", _tup(wu["A"], wu["B"]))
     _claim(claims, "crumbs-wpo/witness-dominates", True,
            all(wu[a] > u[a] for a in p.agents))
@@ -457,14 +462,14 @@ def _fx_crumbs_wpo() -> list[Claim]:
 def _fx_splitter_wpo() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_splitter_three()
-    x = rules_classic.selfridge_conway(p)
-    u = utilities(p, x, ADDITIVE).absolute
+    rule = get_rule("selfridge-conway")
+    u = _run(rule, p)[0][1]
     _claim(claims, "splitter-wpo/output", "(4, 4, 4)",
            _tup(u["A"], u["B"], u["C"]))
     witness = Division.of({"A": [_iv(2, 3), _iv(4, 5)],
                            "B": [_iv(1, 2), _iv(3, 4)],
                            "C": [_iv(0, 1), _iv(5, 6)]})
-    wu = utilities(p, witness, ADDITIVE).absolute
+    wu = utilities(p, witness, rule.mode).absolute
     _claim(claims, "splitter-wpo/witness", "(5, 6, 7)",
            _tup(wu["A"], wu["B"], wu["C"]))
     _claim(claims, "splitter-wpo/witness-dominates", True,
@@ -503,62 +508,32 @@ def cake_flat_vs_skewed() -> Problem:
     return problem(["A", "B"], [1, 1], [[1, 0], [10, 10]])
 
 
-def _grid_corpus(rule: Rule) -> list[Problem]:
-    pool = [cake_two_agent_halves(), cake_equitable_drop(), cake_opposed_pair(),
-            cake_sweep_three(), cake_prefix_greedy()]
-    return [p for p in pool if rule.arity is None or p.n == rule.arity]
+GRID_CORPUS = (cake_two_agent_halves, cake_equitable_drop, cake_opposed_pair,
+               cake_sweep_three, cake_prefix_greedy)
 
+# column: (check on one output, the entry when every output passes); the
+# lambdas look the checkers up at call time, like the rule registry
+GRID_CHECKS = {
+    "CON": (lambda p, x: all(len(merge_components(x.piece(a))) <= 1
+                             for a in p.agents), "Yes"),
+    "EF": (lambda p, x: check_ef(p, x), "Yes"),
+    "PROP": (lambda p, x: check_prop(p, x), "Yes"),
+    "PO": (lambda p, x: check_po_connected(p, x).ok, "Yes"),
+    "WPO": (lambda p, x: check_wpo_connected(p, x).ok, "Y.c.u."),
+}
 
-def _all_pass(rule: Rule, check) -> bool:
-    return all(check(p, x) for p in _grid_corpus(rule) for x, _ in _run(rule, p))
-
-
-def _connected_entry(rule: Rule) -> str:
-    def connected(p, x):
-        return all(len(merge_components(x.piece(a))) <= 1 for a in p.agents)
-    return "Yes" if _all_pass(rule, connected) else "No"
-
-
-def _ef_entry(rule: Rule) -> str:
-    counterexample = {
-        "exact-proportional": cake_prefix_envy,
-        "absolute-equitable": cake_skewed_totals,
-        "relative-equitable": cake_eq_envy,
-    }.get(rule.name)
-    if counterexample is not None:
-        p = counterexample()
-        if any(not check_ef(p, x) for x, _ in _run(rule, p)):
-            return "No"
-    return "Yes" if _all_pass(rule, lambda p, x: check_ef(p, x)) else "No"
-
-
-def _prop_entry(rule: Rule) -> str:
-    if rule.name == "absolute-equitable":
-        p = cake_skewed_totals()
-        if any(not check_prop(p, x) for x, _ in _run(rule, p)):
-            return "No"
-    return "Yes" if _all_pass(rule, lambda p, x: check_prop(p, x)) else "No"
-
-
-def _wpo_entry(rule: Rule) -> str:
-    if rule.name == "exact-proportional":
-        p = cake_opposed_pair()
-        if any(not check_wpo_connected(p, x).ok for x, _ in _run(rule, p)):
-            return "No"
-    return "Y.c.u." if _all_pass(
-        rule, lambda p, x: check_wpo_connected(p, x).ok) else "No"
-
-
-def _po_entry(rule: Rule) -> str:
-    counterexample = {
-        "exact-proportional": cake_opposed_pair,
-        "absolute-equitable": cake_flat_vs_skewed,
-        "relative-equitable": cake_mirrored_gap,
-        "rightmost-mark": cake_reversed_gap,
-    }[rule.name]()
-    bad = any(not check_po_connected(counterexample, x).ok
-              for x, _ in _run(rule, counterexample))
-    return "No" if bad else "Yes"
+# (rule, column): a cake on which the rule's output fails the column
+GRID_COUNTEREXAMPLES = {
+    ("exact-proportional", "EF"): cake_prefix_envy,
+    ("exact-proportional", "PO"): cake_opposed_pair,
+    ("exact-proportional", "WPO"): cake_opposed_pair,
+    ("absolute-equitable", "EF"): cake_skewed_totals,
+    ("absolute-equitable", "PROP"): cake_skewed_totals,
+    ("absolute-equitable", "PO"): cake_flat_vs_skewed,
+    ("relative-equitable", "EF"): cake_eq_envy,
+    ("relative-equitable", "PO"): cake_mirrored_gap,
+    ("rightmost-mark", "PO"): cake_reversed_gap,
+}
 
 
 def _rm_entry(rule: Rule) -> str:
@@ -594,18 +569,26 @@ GRID_EXPECTED = {
 
 
 def compute_grid() -> dict[str, dict[str, str]]:
+    """Each GRID_CHECKS column reads "No" when some output fails its check,
+    on the rule's counterexample cake for the column (checked first) or on
+    a GRID_CORPUS cake in the rule's domain; the rule runs once per cake."""
     grid = {}
     for name in GRID_EXPECTED:
         rule = get_rule(name)
-        grid[name] = dict(
-            CON=_connected_entry(rule),
-            EF=_ef_entry(rule),
-            PROP=_prop_entry(rule),
-            PO=_po_entry(rule),
-            WPO=_wpo_entry(rule),
-            RM=_rm_entry(rule),
-            PM=_pm_entry(rule),
-        )
+        runs = {}
+        for cake in dict.fromkeys(GRID_CORPUS + tuple(
+                cx for (r, _), cx in GRID_COUNTEREXAMPLES.items() if r == name)):
+            p = cake()
+            if rule.arity in (None, p.n):
+                runs[cake] = (p, [x for x, _ in _run(rule, p)])
+        corpus = [runs[c] for c in GRID_CORPUS if c in runs]
+        row = {}
+        for column, (check, yes) in GRID_CHECKS.items():
+            cx = GRID_COUNTEREXAMPLES.get((name, column))
+            cases = [runs[cx]] + corpus if cx else corpus
+            ok = all(check(p, x) for p, xs in cases for x in xs)
+            row[column] = yes if ok else "No"
+        grid[name] = dict(row, RM=_rm_entry(rule), PM=_pm_entry(rule))
     return grid
 
 

@@ -25,7 +25,6 @@ from .divisions import (
     ABSOLUTE,
     RELATIVE,
     Division,
-    _sup_from_floor,
     division_from_cuts,
     sup_uniform_feasible,
 )
@@ -43,10 +42,15 @@ class EquitableResult:
     def division(self, p: Problem) -> Division:
         return division_from_cuts(p, self.ordering, self.cuts + (p.cake_length,))
 
+    def output(self, p: Problem) -> RuleOutput:
+        return RuleOutput([self.division(p)], self.value)
+
 
 @dataclass
 class RuleOutput:
-    rule: str
+    """A rule's output set; the equitable rules add the common value and,
+    maximised over orderings, the argmax ordering of each division."""
+
     divisions: list[Division]
     value: Optional[Rat] = None
     orderings: Optional[list[tuple[str, ...]]] = None
@@ -192,13 +196,12 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     exact_proportional reaches.  An ordering whose targets do not fit at the
     floor is worth less than the best and is skipped after one greedy pass.
     """
-    rule = f"{mode}-equitable"
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
     best = min(total(d) / scale[a] for a, d in zip(p.agents, p.densities)) / p.n
     winners: list[tuple[str, ...]] = []
     for pi in itertools.permutations(p.agents):
-        v = _sup_from_floor(p, pi, zeros, [scale[a] for a in pi], best)
+        v = sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], best)
         if v is None:
             continue
         if v > best or not winners:
@@ -213,4 +216,4 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
         if sim.value != best:
             raise InvariantError("simulation and oracle disagree")
         divisions.append(sim.division(p))
-    return RuleOutput(rule, divisions, best, winners)
+    return RuleOutput(divisions, best, winners)

@@ -39,6 +39,16 @@ SWEEP = {
     ],
 }
 
+# two agents who value the cake uniformly: both orderings reach the
+# maximum, and relative and absolute values differ
+FLAT = {
+    "slices": [{"length": "1"}] * 2,
+    "agents": [
+        {"name": "A", "densities": ["1", "1"]},
+        {"name": "B", "densities": ["2", "2"]},
+    ],
+}
+
 EXAMPLE_DIVISION = [
     {"agent": "A", "intervals": [["0", "5"]]},
     {"agent": "B", "intervals": [["5", "6"]]},
@@ -100,6 +110,61 @@ class TestDivide:
                            "--problem", prob, "--ordering", "B,A")
         assert code == 0
         assert "ordering: B,A" in out
+
+    @pytest.mark.parametrize("rule, ordering, golden", [
+        ("relative-equitable", None, [
+            "rule: relative-equitable",
+            "value: 1/2",
+            "orderings: A,B B,A",
+            "agent A: absolute 1 relative 1/2",
+            "agent B: absolute 2 relative 1/2",
+            'division: [{"agent": "A", "intervals": [["0", "1"]]}, '
+            '{"agent": "B", "intervals": [["1", "2"]]}]',
+        ]),
+        ("absolute-equitable", None, [
+            "rule: absolute-equitable",
+            "value: 4/3",
+            "orderings: A,B B,A",
+            "agent A: absolute 4/3 relative 2/3",
+            "agent B: absolute 4/3 relative 1/3",
+            'division: [{"agent": "A", "intervals": [["0", "4/3"]]}, '
+            '{"agent": "B", "intervals": [["4/3", "2"]]}]',
+        ]),
+        ("relative-equitable", "B,A", [
+            "rule: relative-equitable",
+            "ordering: B,A",
+            "value: 1/2",
+            "agent A: absolute 1 relative 1/2",
+            "agent B: absolute 2 relative 1/2",
+            'division: [{"agent": "B", "intervals": [["0", "1"]]}, '
+            '{"agent": "A", "intervals": [["1", "2"]]}]',
+        ]),
+        ("absolute-equitable", "B,A", [
+            "rule: absolute-equitable",
+            "ordering: B,A",
+            "value: 4/3",
+            "agent A: absolute 4/3 relative 2/3",
+            "agent B: absolute 4/3 relative 1/3",
+            'division: [{"agent": "B", "intervals": [["0", "2/3"]]}, '
+            '{"agent": "A", "intervals": [["2/3", "2"]]}]',
+        ]),
+    ])
+    def test_equitable_golden(self, files, capsys, rule, ordering, golden):
+        prob = files("p.json", FLAT)
+        argv = ["divide", "--rule", rule, "--problem", prob]
+        if ordering:
+            argv += ["--ordering", ordering]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == golden
+
+    def test_ordering_on_non_equitable_rule_exits_2(self, files, capsys):
+        prob = files("p.json", FLAT)
+        code, out, err = run(capsys, "divide", "--rule", "cut-and-choose",
+                             "--problem", prob, "--ordering", "B,A")
+        assert code == 2
+        assert out == []
+        assert "--ordering applies only to the equitable rules" in err
 
     def test_arity_violation_exits_2(self, files, capsys):
         prob = files("p.json", SWEEP)

@@ -219,6 +219,15 @@ class TestSweep:
                                  F(0))
         assert v == F(1, 2)
 
+    def test_infeasible_start_gives_none(self):
+        # the supremum is 1/2: any start up to it sweeps to 1/2, a start
+        # above it is refused after one greedy pass
+        p = problem(["A", "B"], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])
+        for start, expected in ((F(1, 4), F(1, 2)), (F(1, 2), F(1, 2)),
+                                (F(3, 5), None), (F(1), None)):
+            assert sup_uniform_feasible(p, ("A", "B"), [F(0), F(0)],
+                                        [F(2), F(1)], start) == expected
+
     def test_rejects_nonpositive_slope(self):
         p = forced_pair()
         with pytest.raises(CakeError):

@@ -1,11 +1,14 @@
 """Source hygiene of the library, checked with the stdlib ast module: no
-unused imports, and no bare assert statements (python -O strips them, so
-the library raises its invariant errors explicitly)."""
+unused imports, no bare assert statements (python -O strips them, so
+the library raises its invariant errors explicitly), and no rule names in
+the CLI (the rule registry is the one place that knows a rule)."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from cakecut.monotonicity_harness import RULES
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "cakecut").glob("*.py"))
 
@@ -43,6 +46,22 @@ def test_no_bare_asserts(path):
     lines = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def string_literals(tree) -> set[str]:
+    """Every string constant, f-string parts included."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_cli_names_no_rule():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert sorted(string_literals(_tree(cli)) & set(RULES)) == []
+
+
+def test_string_literal_finder_sees_f_string_parts():
+    tree = ast.parse('x = ("a", f"b{x}c", 3)\n')
+    assert string_literals(tree) == {"a", "b", "c"}
 
 
 def test_unused_import_finder_sees_unused_and_used_names():
