@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cake_measure import (
     CakeError,
@@ -218,6 +218,35 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     return tuple(cuts)
 
 
+def fitting_orderings(p: Problem, target: Callable[[str], Rat]
+                      ) -> Iterator[tuple[str, ...]]:
+    """The agent orderings in which greedy_fit succeeds with targets
+    target(a), in itertools.permutations order.
+
+    A depth-first walk over ordering prefixes that carries each prefix's
+    leftmost-mark cut chain, so orderings that share a prefix share its
+    cuts, and a prefix whose chain does not fit prunes every ordering that
+    extends it.  target(a) is read when a's cut is taken, lazily, so a
+    caller may raise its targets between the orderings it receives.  The
+    cuts already taken then come from lower targets and lie no further
+    right than the raised ones would (marks are monotone in their start and
+    target), so pruning from them never drops an ordering that fits the
+    raised targets; an ordering received after a raise may still fail
+    them, and the caller checks it.
+    """
+    dens = dict(zip(p.agents, p.densities))
+
+    def walk(prefix, rest, pos):
+        if not rest:
+            yield prefix
+        for i, a in enumerate(rest):
+            y = leftmost_mark(dens[a], pos, target(a))
+            if y is not None:
+                yield from walk(prefix + (a,), rest[:i] + rest[i + 1:], y)
+
+    return walk((), p.agents, Fraction(0))
+
+
 def division_from_cuts(p: Problem, pi: Sequence[str],
                        cuts: Sequence[Rat]) -> Division:
     """Connected partition: agent i of pi gets [cut_{i-1}, cut_i]; the last
@@ -376,13 +405,13 @@ def check_wpo_connected(p: Problem, x: Division) -> EfficiencyResult:
 
     Complete over connected partitions: reports the lexicographically first
     ordering that admits positive uniform slack, with a verified witness at
-    half its maximal slack.  Each ordering is swept from the floor delta = 0:
-    one that cannot give every agent its base utility has negative
-    max_slack and is skipped after a single greedy pass; any other sweeps
-    to the same delta as max_slack.
+    half its maximal slack.  Only the orderings that fit the base utilities
+    (slack delta = 0) can admit positive slack; fitting_orderings lists
+    them, pruning every ordering whose prefix already fails, and each is
+    swept from delta = 0 to the same delta as max_slack.
     """
     base = utilities(p, x, CONNECTED)
-    for pi in itertools.permutations(p.agents):
+    for pi in fitting_orderings(p, lambda a: base.absolute[a]):
         delta = sup_uniform_feasible(p, pi, *_slack_line(p, pi, base),
                                      Fraction(0))
         if delta is not None and delta > 0:
@@ -402,22 +431,60 @@ def check_wpo_connected(p: Problem, x: Division) -> EfficiencyResult:
     return EfficiencyResult(True)
 
 
+def _chain_end(step: Callable[[str, Rat], Optional[Rat]], start: Rat):
+    """end(chain): the position reached by taking step(a, position) for each
+    agent a of the chain tuple in turn from start, or None once a step
+    fails; memoised by chain, so chains with a common head share its steps."""
+    ends = {(): start}
+
+    def end(chain):
+        if chain not in ends:
+            pos = end(chain[:-1])
+            ends[chain] = None if pos is None else step(chain[-1], pos)
+        return ends[chain]
+
+    return end
+
+
 def check_po_connected(p: Problem, x: Division) -> EfficiencyResult:
     """False iff some connected partition is weakly better for all agents
-    and strictly better for at least one (the pivot)."""
+    and strictly better for at least one (the pivot).
+
+    Tries every (ordering, pivot) pair in permutation order.  The agents
+    left of the pivot take sequential minimal prefixes worth their base
+    utilities and those right of it sequential minimal suffixes
+    (suffix_mark from the end of the cake), which leaves the pivot the
+    largest piece it can get in that ordering.  Left chains are memoised by
+    prefix and right chains by suffix, and the pivot's value is read from
+    their ends; only the first improving pair builds its partition
+    (_constrained_partition), so the ordering and witness reported are
+    those of the first improving pair.
+    """
     base = utilities(p, x, CONNECTED)
+    u = base.absolute
+    left = _chain_end(lambda a, pos: leftmost_mark(p.density(a), pos, u[a]),
+                      Fraction(0))
+    right = _chain_end(lambda a, end: suffix_mark(p.density(a), end, u[a]),
+                       p.cake_length)
     for pi in itertools.permutations(p.agents):
-        for pivot in pi:
-            targets = {a: base.absolute[a] for a in p.agents if a != pivot}
-            result = _constrained_partition(p, pi, pivot, targets)
-            if result is None:
+        for j, pivot in enumerate(pi):
+            lo = left(pi[:j])
+            if lo is None:
+                break  # the later pivots' prefixes extend this one
+            hi = right(pi[:j:-1])
+            if hi is None or lo > hi:
                 continue
-            best, witness = result
-            if best > base.absolute[pivot]:
+            best = value(p.density(pivot), Interval(lo, hi))
+            if best > u[pivot]:
+                targets = {a: u[a] for a in p.agents if a != pivot}
+                result = _constrained_partition(p, pi, pivot, targets)
+                if result is None or result[0] != best:
+                    raise InvariantError("PO partition must match the "
+                                         "memoised chains")
+                witness = result[1]
                 wu = utilities(p, witness, CONNECTED)
-                if not all(wu.absolute[a] >= base.absolute[a]
-                           for a in p.agents):
+                if not all(wu.absolute[a] >= u[a] for a in p.agents):
                     raise InvariantError("PO witness must weakly improve "
                                          "every agent")
-                return EfficiencyResult(False, tuple(pi), witness, wu)
+                return EfficiencyResult(False, pi, witness, wu)
     return EfficiencyResult(True)

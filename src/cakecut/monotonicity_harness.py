@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import rules_classic, rules_monotone
 from .cake_measure import (
@@ -110,6 +111,23 @@ def _run(rule: Rule, p: Problem) -> list[tuple[Division, dict[str, Rat]]]:
             for x in rule.run(p).divisions]
 
 
+# One-slot memo of _run on the base problem of check_rm and check_pm: the
+# most recent base problem, held strongly so that its id cannot be reused
+# while it sits here, and each rule's outputs on it, stored immutably.
+# check_rm followed by check_pm on the same problem runs each rule once.
+_base = [None, {}]
+
+
+def _run_base(rule: Rule, p: Problem
+              ) -> tuple[tuple[Division, Mapping[str, Rat]], ...]:
+    if _base[0] is not p:
+        _base[:] = [p, {}]
+    runs = _base[1]
+    if rule not in runs:
+        runs[rule] = tuple((x, MappingProxyType(u)) for x, u in _run(rule, p))
+    return runs[rule]
+
+
 def _exists_verdict(axiom, direction, agents, base, other, sign) -> MonotonicityVerdict:
     """pass iff for every base division some other division is weakly
     better (sign=+1) or weakly worse (sign=-1) for every compared agent."""
@@ -123,11 +141,12 @@ def _exists_verdict(axiom, direction, agents, base, other, sign) -> Monotonicity
             # report the closest candidate for diagnostics
             xo, uo = max(other,
                          key=lambda t: min(sign * (t[1][a] - ub[a]) for a in agents))
-            return MonotonicityVerdict(axiom, direction, False, agents, ub, uo,
-                                       (xb, xo))
+            return MonotonicityVerdict(axiom, direction, False, agents,
+                                       dict(ub), dict(uo), (xb, xo))
     xb, ub = base[0]
     xo, uo = next((xo, uo) for xo, uo in other if dominates(uo, ub))
-    return MonotonicityVerdict(axiom, direction, True, agents, ub, uo, (xb, xo))
+    return MonotonicityVerdict(axiom, direction, True, agents, dict(ub),
+                               dict(uo), (xb, xo))
 
 
 def check_rm(rule, p: Problem, extra_lengths, extra_rows) -> list[MonotonicityVerdict]:
@@ -135,7 +154,7 @@ def check_rm(rule, p: Problem, extra_lengths, extra_rows) -> list[MonotonicityVe
     if isinstance(rule, str):
         rule = get_rule(rule)
     big = append(p, extra_lengths, extra_rows)
-    small_out = _run(rule, p)
+    small_out = _run_base(rule, p)
     big_out = _run(rule, big)
     return [
         _exists_verdict("RM", "upwards", p.agents, small_out, big_out, +1),
@@ -148,7 +167,7 @@ def check_pm(rule, p: Problem, leaving: str) -> list[MonotonicityVerdict]:
     if isinstance(rule, str):
         rule = get_rule(rule)
     reduced = remove_agent(p, leaving)
-    full_out = _run(rule, p)
+    full_out = _run_base(rule, p)
     red_out = _run(rule, reduced)
     agents = reduced.agents
     return [

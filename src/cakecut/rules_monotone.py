@@ -5,7 +5,6 @@ oracle), and the rightmost-mark rule for two agents.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,6 +16,7 @@ from .cake_measure import (
     Problem,
     Rat,
     leftmost_mark,
+    maximal_mark,
     rightmost_mark,
     total,
     value,
@@ -26,6 +26,7 @@ from .divisions import (
     RELATIVE,
     Division,
     division_from_cuts,
+    fitting_orderings,
     sup_uniform_feasible,
 )
 
@@ -62,6 +63,12 @@ def _scales(p: Problem, mode: str) -> dict[str, Rat]:
     if mode == ABSOLUTE:
         return {a: Fraction(1) for a in p.agents}
     raise CakeError(f"unknown value mode {mode!r}")
+
+
+def _proportional_floor(p: Problem, scale: dict[str, Rat]) -> Rat:
+    """L = min_i(V_i / scale_i) / n: 1/n in relative mode, min_i V_i / n in
+    absolute mode; the ordering of exact_proportional reaches it."""
+    return min(total(d) / scale[a] for a, d in zip(p.agents, p.densities)) / p.n
 
 
 def exact_proportional(p: Problem) -> Division:
@@ -127,6 +134,25 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str],
     agent's density is zero, the rightmost such knife slides freely through
     the stretch while knives to its right keep their piece values constant
     (phase 2).  Stops when the last knife reaches the end of the cake.
+
+    The simulation starts at the proportional floor L (see
+    _proportional_floor) from the chain of sequential maximal marks worth
+    L * scale_i, or at t = 0 with every knife at 0 when that chain does not
+    exist or its last cut is at the end of the cake.  Both give the same
+    result, for three reasons.  (1) Once the phase-2 slides at a screen
+    value t are done, no knife sits at the left edge of its own zero
+    stretch, so each knife is at the maximal mark of its own piece: the
+    knives form the maximal chain at t, whatever came before.  (2) The loop
+    reads nothing but (x, t), and inside a phase-1 segment the knives move
+    affinely in t, so from any state of the t = 0 run the loop follows that
+    run to the same next event.  (3) A maximal chain at L whose last cut is
+    before the end of the cake lies, knife by knife, at or right of the
+    maximal chain at every t < L (marks are monotone in start and target),
+    so the t = 0 run has not stopped before L: it passes through t = L, in
+    exactly the state the floor start begins from.  When that chain ends at
+    the end of the cake, the ordering is worth exactly L and the t = 0 run
+    may stop at L before its slides are done, with some cut left of the
+    chain; hence the fallback.
     """
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
@@ -137,8 +163,15 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str],
     n = len(pi)
     c = p.cake_length
     grid = p.grid
-    x = [Fraction(0)] * n
-    t = Fraction(0)
+    t = _proportional_floor(p, scale)
+    x, pos = [], Fraction(0)
+    for d, sc in zip(dens, s):
+        pos = maximal_mark(d, pos, t * sc)
+        if pos is None:
+            break
+        x.append(pos)
+    if len(x) < n or x[-1] == c:
+        x, t = [Fraction(0)] * n, Fraction(0)
     while x[-1] != c:
         blocked = [i for i in range(n)
                    if x[i] < c and dens[i].density_right_of(x[i]) == 0]
@@ -190,17 +223,20 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     orderings, in permutation order.  The oracle and the simulation must
     agree exactly.
 
-    Each ordering's oracle sweep starts from a floor: the best value so far,
-    or before that the proportional bound L = min_i(V_i / scale_i) / n (1/n
-    in relative mode, min_i V_i / n in absolute mode), which the ordering of
-    exact_proportional reaches.  An ordering whose targets do not fit at the
-    floor is worth less than the best and is skipped after one greedy pass.
+    The search keeps a floor: the best value so far, or before that the
+    proportional bound L (see _proportional_floor).  fitting_orderings walks
+    the orderings with targets floor * scale_i, read when each cut is
+    taken, and prunes every ordering whose prefix does not fit; the floor
+    only rises, so pruning from cuts taken at an earlier floor never drops
+    an ordering that reaches the current one.  Each ordering it yields is
+    swept by the oracle from the floor, which returns None, after one
+    greedy pass, for one that no longer reaches it.
     """
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
-    best = min(total(d) / scale[a] for a, d in zip(p.agents, p.densities)) / p.n
+    best = _proportional_floor(p, scale)
     winners: list[tuple[str, ...]] = []
-    for pi in itertools.permutations(p.agents):
+    for pi in fitting_orderings(p, lambda a: best * scale[a]):
         v = sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], best)
         if v is None:
             continue

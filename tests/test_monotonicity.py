@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cakecut import monotonicity_harness
 from cakecut.cake_measure import CakeError, problem
 from cakecut.monotonicity_harness import (
     FIXTURES,
@@ -68,6 +69,57 @@ class TestHarness:
     def test_unknown_rule(self):
         with pytest.raises(CakeError):
             get_rule("nonexistent")
+
+
+def counted_runs(monkeypatch):
+    """Record (rule name, problem) for every real run of a rule."""
+    runs = []
+    real = monotonicity_harness._run
+
+    def counting(rule, p):
+        runs.append((rule.name, p))
+        return real(rule, p)
+
+    monkeypatch.setattr(monotonicity_harness, "_run", counting)
+    return runs
+
+
+class TestSharedBaseRun:
+    """check_rm and check_pm share the base problem's rule run."""
+
+    def test_rm_then_pm_runs_each_rule_once_on_the_problem(self, monkeypatch):
+        runs = counted_runs(monkeypatch)
+        p = problem(["A", "B", "C"], [1, 1, 2], [[1, 2, 3], [3, 0, 1],
+                                                 [2, 2, 2]])
+        names = ("exact-proportional", "relative-equitable", "even-paz")
+        for name in names:
+            check_rm(name, p, [1], {"A": [1], "B": [2], "C": [0]})
+            check_pm(name, p, "B")
+        on_p = [name for name, q in runs if q is p]
+        assert sorted(on_p) == sorted(names)
+        # the enlarged and the reduced problem are run for each rule
+        assert len(runs) == 3 * len(names)
+
+    def test_equal_but_distinct_problem_is_run_again(self, monkeypatch):
+        runs = counted_runs(monkeypatch)
+        first, second = halves_pair(), halves_pair()
+        assert first == second and first is not second
+        for p in (first, second):
+            check_rm("cut-and-choose", p, [1], {"A": [2], "B": [2]})
+        assert [q is first for _, q in runs if q in (first, second)] == [
+            True, False]
+
+    def test_mutating_a_verdict_leaves_later_verdicts_alone(self):
+        p = halves_pair()
+        extra = ([1], {"A": [2], "B": [2]})
+        up, down = check_rm("cut-and-choose", p, *extra)
+        expected = [(v.before.copy(), v.after.copy()) for v in (up, down)]
+        for v in (up, down):
+            v.before["A"] = F(-1)
+            v.after.clear()
+        # the base run is served from the memo this time
+        again = check_rm("cut-and-choose", p, *extra)
+        assert [(v.before, v.after) for v in again] == expected
 
 
 class TestFixtures:

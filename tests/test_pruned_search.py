@@ -1,12 +1,17 @@
-"""Differential tests: the floor-pruned ordering searches of max_equitable
-and check_wpo_connected against a plain enumerator that sweeps every
-ordering in full (equitable_value_oracle and max_slack from their own
-starts), on a fixed-seed corpus with zero-density stretches."""
+"""Differential tests: the pruned ordering searches against plain
+enumerators, on a fixed-seed corpus with zero-density stretches.
+
+max_equitable and check_wpo_connected are compared with an enumerator that
+sweeps every ordering in full (equitable_value_oracle and max_slack from
+their own starts), fitting_orderings with a filter of greedy_fit over all
+permutations, and check_po_connected with a per-(ordering, pivot)
+enumerator that builds every constrained partition."""
 
 import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -14,12 +19,17 @@ from cakecut.cake_measure import problem, total
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
+    CONNECTED,
+    _constrained_partition,
+    check_po_connected,
     check_wpo_connected,
     division_from_cuts,
+    fitting_orderings,
     greedy_fit,
     max_slack,
     utilities,
 )
+from cakecut.monotonicity_harness import GRID_COUNTEREXAMPLES, get_rule
 from cakecut.rules_monotone import (
     equitable_for_ordering,
     equitable_value_oracle,
@@ -119,3 +129,85 @@ def test_corpus_reaches_both_wpo_verdicts():
     verdicts = {check_wpo_connected(p, exact_proportional(p)).ok
                 for p in corpus()}
     assert verdicts == {True, False}
+
+
+def _walker_targets(p, rng):
+    """Per-agent target sets: zero, shares around 1/n of each agent's
+    total, and random fractions of it, so some prefixes fit and some fail."""
+    yield {a: F(0) for a in p.agents}
+    for share in (F(1, p.n + 1), F(1, p.n), F(11, 10 * p.n)):
+        yield {a: share * total(p.density(a)) for a in p.agents}
+    for _ in range(4):
+        yield {a: F(rng.randint(1, 12), 10 * p.n) * total(p.density(a))
+               for a in p.agents}
+
+
+def walker_corpus():
+    rng = random.Random(SEED + 1)
+    singles = [_random_problem(rng, 1) for _ in range(4)]
+    return [(p, targets) for p in singles + corpus()
+            for targets in _walker_targets(p, rng)]
+
+
+def test_fitting_orderings_match_greedy_fit_filter():
+    kept = dropped = 0
+    for p, targets in walker_corpus():
+        expected = [pi for pi in permutations(p.agents)
+                    if greedy_fit(p, pi, targets)]
+        assert list(fitting_orderings(p, targets.__getitem__)) == expected
+        kept += len(expected)
+        dropped += factorial(p.n) - len(expected)
+    assert kept and dropped
+
+
+def enumerated_po(p, x):
+    """The per-(ordering, pivot) enumerator: build the constrained partition
+    of every pair and stop at the first that improves its pivot."""
+    base = utilities(p, x, CONNECTED)
+    for pi in permutations(p.agents):
+        for pivot in pi:
+            targets = {a: base.absolute[a] for a in p.agents if a != pivot}
+            result = _constrained_partition(p, pi, pivot, targets)
+            if result is None:
+                continue
+            best, witness = result
+            if best > base.absolute[pivot]:
+                return False, pi, witness, utilities(p, witness, CONNECTED)
+    return True, None, None, None
+
+
+def _po_inputs(p):
+    for mode in (RELATIVE, ABSOLUTE):
+        yield from max_equitable(p, mode).divisions
+    yield exact_proportional(p)
+
+
+PO_COUNTEREXAMPLES = [(name, cake) for (name, column), cake
+                      in GRID_COUNTEREXAMPLES.items() if column == "PO"]
+
+
+def assert_po_matches_enumerator(p, x):
+    result = check_po_connected(p, x)
+    assert (result.ok, result.ordering, result.witness,
+            result.witness_utilities) == enumerated_po(p, x)
+    return result.ok
+
+
+@pytest.mark.parametrize("index", CASES, ids=_ids())
+def test_check_po_connected_matches_enumerator(index):
+    p = corpus()[index]
+    for x in _po_inputs(p):
+        assert_po_matches_enumerator(p, x)
+
+
+@pytest.mark.parametrize("name, cake", PO_COUNTEREXAMPLES,
+                         ids=[name for name, _ in PO_COUNTEREXAMPLES])
+def test_check_po_connected_matches_enumerator_on_counterexamples(name, cake):
+    p = cake()
+    for x in get_rule(name).run(p).divisions:
+        assert not assert_po_matches_enumerator(p, x)
+
+
+def test_corpus_reaches_both_po_verdicts():
+    assert {check_po_connected(p, x).ok for p in corpus()
+            for x in _po_inputs(p)} == {True, False}
