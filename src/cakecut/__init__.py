@@ -64,8 +64,6 @@ from .monotonicity_harness import (
     check_rm,
     compute_grid,
     get_rule,
-    random_enlargement,
-    random_problem,
     run_all_fixtures,
     run_fixture,
 )

@@ -4,8 +4,9 @@ Implements proportionality, envy-freeness, equitability, weak Pareto
 optimality, Pareto optimality (over connected partitions), the Nash
 product, and essential single-valuedness, all in exact rational
 arithmetic.  The efficiency checkers rest on one feasibility primitive:
-sequential minimal prefixes for an agent ordering (greedy_fit) and an
-exact parametric sweep over a uniform slack parameter.
+sequential marks along an agent ordering (mark_chain; greedy_fit takes
+minimal prefixes) and an exact parametric sweep over a uniform slack
+parameter.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cake_measure import (
     CakeError,
@@ -195,6 +196,29 @@ def check_esv(p: Problem, divisions: Sequence[Division],
 # Connected-partition feasibility primitives
 
 
+def mark_chain(mark: Callable, dens: Iterable, targets: Iterable[Rat],
+               pos: Rat) -> Optional[list[Rat]]:
+    """Sequential marks: each density in turn takes mark(d, pos, t) from the
+    previous mark, starting at pos.  Returns the marks, or None at the first
+    one that fails.  The targets are read one per mark, lazily, so none is
+    read past a failing mark.  leftmost_mark from 0 gives minimal prefixes;
+    suffix_mark from the end of the cake, with the agents reversed, gives
+    minimal suffixes right to left."""
+    marks = []
+    for d, t in zip(dens, targets):
+        pos = mark(d, pos, t)
+        if pos is None:
+            return None
+        marks.append(pos)
+    return marks
+
+
+def _nonnegative(t: Rat) -> Rat:
+    if t < 0:
+        raise CakeError("targets must be nonnegative")
+    return t
+
+
 def greedy_fit(p: Problem, pi: Sequence[str],
                targets: dict[str, Rat]) -> Optional[tuple[Rat, ...]]:
     """Sequential minimal prefixes along the ordering.
@@ -204,18 +228,9 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     when the targets do not fit.  If this returns None, no connected
     partition in this ordering meets all the targets.
     """
-    pos = Fraction(0)
-    cuts = []
-    for a in pi:
-        t = targets[a]
-        if t < 0:
-            raise CakeError("targets must be nonnegative")
-        y = leftmost_mark(p.density(a), pos, t)
-        if y is None:
-            return None
-        cuts.append(y)
-        pos = y
-    return tuple(cuts)
+    cuts = mark_chain(leftmost_mark, (p.density(a) for a in pi),
+                      (_nonnegative(targets[a]) for a in pi), Fraction(0))
+    return None if cuts is None else tuple(cuts)
 
 
 def fitting_orderings(p: Problem, target: Callable[[str], Rat]
@@ -247,17 +262,17 @@ def fitting_orderings(p: Problem, target: Callable[[str], Rat]
     return walk((), p.agents, Fraction(0))
 
 
+def _consecutive(pi: Sequence[str], bounds: Sequence[Rat]) -> Division:
+    """Connected partition from 0: agent i of pi gets [bounds[i-1], bounds[i]]."""
+    return Division.of({a: [Interval(lo, hi)] for a, lo, hi
+                        in zip(pi, [Fraction(0), *bounds], bounds)})
+
+
 def division_from_cuts(p: Problem, pi: Sequence[str],
                        cuts: Sequence[Rat]) -> Division:
     """Connected partition: agent i of pi gets [cut_{i-1}, cut_i]; the last
     piece is extended to the end of the cake."""
-    pieces: dict[str, list[Interval]] = {}
-    pos = Fraction(0)
-    for i, a in enumerate(pi):
-        hi = p.cake_length if i == len(pi) - 1 else cuts[i]
-        pieces[a] = [Interval(pos, hi)]
-        pos = cuts[i]
-    return Division.of(pieces)
+    return _consecutive(pi, [*cuts[:len(pi) - 1], p.cake_length])
 
 
 def constrained_max(p: Problem, pi: Sequence[str], pivot: str,
@@ -270,39 +285,25 @@ def constrained_max(p: Problem, pi: Sequence[str], pivot: str,
 
 def _constrained_partition(p: Problem, pi: Sequence[str], pivot: str,
                            targets: dict[str, Rat]):
+    """(pivot value, partition): the agents left of the pivot take minimal
+    prefixes and those right of it minimal suffixes worth their targets;
+    None when the two chains do not fit or cross."""
     pi = list(pi)
     j = pi.index(pivot)
-    lefts, rights = pi[:j], pi[j + 1 :]
-    pos = Fraction(0)
-    left_cuts = []
-    for a in lefts:
-        y = leftmost_mark(p.density(a), pos, targets[a])
-        if y is None:
-            return None
-        left_cuts.append(y)
-        pos = y
-    end = p.cake_length
-    right_cuts = []
-    for a in reversed(rights):
-        x = suffix_mark(p.density(a), end, targets[a])
-        if x is None:
-            return None
-        right_cuts.append(x)
-        end = x
-    right_cuts.reverse()
-    if pos > end:
+    lefts, rights = pi[:j], pi[:j:-1]
+    left = mark_chain(leftmost_mark, (p.density(a) for a in lefts),
+                      (targets[a] for a in lefts), Fraction(0))
+    if left is None:
         return None
-    pieces: dict[str, list[Interval]] = {}
-    lo = Fraction(0)
-    for a, cut in zip(lefts, left_cuts):
-        pieces[a] = [Interval(lo, cut)]
-        lo = cut
-    pieces[pivot] = [Interval(pos, end)]
-    hi_edges = right_cuts + [p.cake_length]
-    for a, lo_r, hi_r in zip(rights, hi_edges, hi_edges[1:]):
-        pieces[a] = [Interval(lo_r, hi_r)]
-    best = value(p.density(pivot), Interval(pos, end))
-    return best, Division.of(pieces)
+    right = mark_chain(suffix_mark, (p.density(a) for a in rights),
+                       (targets[a] for a in rights), p.cake_length)
+    if right is None:
+        return None
+    bounds = left + right[::-1] + [p.cake_length]
+    lo, hi = (left[-1] if left else Fraction(0)), bounds[j]
+    if lo > hi:
+        return None
+    return value(p.density(pivot), Interval(lo, hi)), _consecutive(pi, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +362,9 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
 
 
 def _greedy_raw(dens, alphas, betas, theta):
-    pos = Fraction(0)
-    for d, a, b in zip(dens, alphas, betas):
-        t = max(Fraction(0), a + b * theta)
-        y = leftmost_mark(d, pos, t)
-        if y is None:
-            return None
-        pos = y
-    return pos
+    return mark_chain(leftmost_mark, dens,
+                      (max(Fraction(0), a + b * theta)
+                       for a, b in zip(alphas, betas)), Fraction(0))
 
 
 def _slack_line(p: Problem, pi: Sequence[str], base: UtilityVector):

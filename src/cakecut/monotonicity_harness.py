@@ -10,7 +10,6 @@ reverse change some division weakly worse.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -59,19 +58,20 @@ class Rule:
     for_ordering: Optional[Callable[[Problem, Sequence[str]], RuleOutput]] = None
 
 
+def _equitable(name: str, mode: str) -> Rule:
+    return Rule(name, CONNECTED, None,
+                lambda p: rules_monotone.max_equitable(p, mode),
+                lambda p, pi: rules_monotone.equitable_for_ordering(
+                    p, pi, mode).output(p))
+
+
 # the lambdas look each rule up at call time, so rebinding a module's
 # function (a tracer does) reaches the registered rule too
 RULES: dict[str, Rule] = {rule.name: rule for rule in (
     Rule("exact-proportional", CONNECTED, None,
          lambda p: RuleOutput([rules_monotone.exact_proportional(p)])),
-    Rule("relative-equitable", CONNECTED, None,
-         lambda p: rules_monotone.max_equitable(p, RELATIVE),
-         lambda p, pi: rules_monotone.equitable_for_ordering(
-             p, pi, RELATIVE).output(p)),
-    Rule("absolute-equitable", CONNECTED, None,
-         lambda p: rules_monotone.max_equitable(p, ABSOLUTE),
-         lambda p, pi: rules_monotone.equitable_for_ordering(
-             p, pi, ABSOLUTE).output(p)),
+    _equitable("relative-equitable", RELATIVE),
+    _equitable("absolute-equitable", ABSOLUTE),
     Rule("rightmost-mark", CONNECTED, 2,
          lambda p: RuleOutput([rules_monotone.rightmost_mark_rule(p)])),
     Rule("cut-and-choose", CONNECTED, 2,
@@ -155,7 +155,8 @@ def check_rm(rule, p: Problem, extra_lengths, extra_rows) -> list[MonotonicityVe
         rule = get_rule(rule)
     big = append(p, extra_lengths, extra_rows)
     small_out = _run_base(rule, p)
-    big_out = _run(rule, big)
+    # an empty enlargement returns p itself
+    big_out = small_out if big is p else _run(rule, big)
     return [
         _exists_verdict("RM", "upwards", p.agents, small_out, big_out, +1),
         _exists_verdict("RM", "downwards", p.agents, big_out, small_out, -1),
@@ -174,34 +175,6 @@ def check_pm(rule, p: Problem, leaving: str) -> list[MonotonicityVerdict]:
         _exists_verdict("PM", "downwards", agents, full_out, red_out, +1),
         _exists_verdict("PM", "upwards", agents, red_out, full_out, -1),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Randomized problem generation (fixed seeds supplied by callers)
-
-
-def random_problem(rng: random.Random, n: Optional[int] = None,
-                   max_slices: int = 6, strictly_positive: bool = False) -> Problem:
-    n = n if n is not None else rng.choice([2, 2, 2, 3, 3, 4])
-    k = rng.randint(1, max_slices)
-    lengths = [rng.choice([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2)])
-               for _ in range(k)]
-    rows = []
-    low = 1 if strictly_positive else 0
-    for _ in range(n):
-        row = [Fraction(rng.randint(low, 9)) for _ in range(k)]
-        if all(v == 0 for v in row):
-            row[rng.randrange(k)] = Fraction(rng.randint(1, 9))
-        rows.append(row)
-    return problem(["A", "B", "C", "D"][:n], lengths, rows)
-
-
-def random_enlargement(rng: random.Random, p: Problem):
-    m = rng.randint(1, 2)
-    lengths = [rng.choice([Fraction(1), Fraction(1, 2), Fraction(2)])
-               for _ in range(m)]
-    rows = {a: [Fraction(rng.randint(0, 9)) for _ in range(m)] for a in p.agents}
-    return lengths, rows
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +286,15 @@ def _fx_noop() -> list[Claim]:
     return claims
 
 
+# The rules of cc-rm, sc-rm, ds-pm and fink-pm have one output each, so a
+# verdict's before and after are the utilities of the two runs it compared.
+
 def _fx_cc_rm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_two_agent_halves()
-    rule = get_rule("cut-and-choose")
-    u_small = _run(rule, p)[0][1]
-    u_big = _run(rule, append(p, *CC_EXTRA))[0][1]
-    _claim(claims, "cc-rm/bob-before", Fraction(6), u_small["B"])
-    _claim(claims, "cc-rm/bob-after", Fraction(5), u_big["B"])
-    up, _down = check_rm(rule, p, *CC_EXTRA)
+    up, _down = check_rm("cut-and-choose", p, *CC_EXTRA)
+    _claim(claims, "cc-rm/bob-before", Fraction(6), up.before["B"])
+    _claim(claims, "cc-rm/bob-after", Fraction(5), up.after["B"])
     _claim(claims, "cc-rm/verdict", False, up.ok)
     return claims
 
@@ -329,13 +302,10 @@ def _fx_cc_rm() -> list[Claim]:
 def _fx_sc_rm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_trimming_three()
-    rule = get_rule("selfridge-conway")
-    u_small = _run(rule, p)[0][1]
-    u_big = _run(rule, append(p, *SC_EXTRA))[0][1]
-    _claim(claims, "sc-rm/carl-before", Fraction(8), u_small["C"])
-    _claim(claims, "sc-rm/carl-after-at-most-7", True, u_big["C"] <= 7)
-    _claim(claims, "sc-rm/carl-after-below-8", True, u_big["C"] < 8)
-    up, _down = check_rm(rule, p, *SC_EXTRA)
+    up, _down = check_rm("selfridge-conway", p, *SC_EXTRA)
+    _claim(claims, "sc-rm/carl-before", Fraction(8), up.before["C"])
+    _claim(claims, "sc-rm/carl-after-at-most-7", True, up.after["C"] <= 7)
+    _claim(claims, "sc-rm/carl-after-below-8", True, up.after["C"] < 8)
     _claim(claims, "sc-rm/verdict", False, up.ok)
     return claims
 
@@ -343,50 +313,47 @@ def _fx_sc_rm() -> list[Claim]:
 def _fx_ds_pm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_sweep_three()
-    reduced = remove_agent(p, "B")
-    for name in ("dubins-spanier", "even-paz", "banach-knaster"):
-        rule = get_rule(name)
-        u_full = _run(rule, p)[0][1]
-        u_red = _run(rule, reduced)[0][1]
+    downs = {name: check_pm(name, p, "B")[0]
+             for name in ("dubins-spanier", "even-paz", "banach-knaster")}
+    for name, down in downs.items():
         _claim(claims, f"ds-pm/{name}-full", "(20, 30, 40)",
-               _tup(u_full["A"], u_full["B"], u_full["C"]))
-        _claim(claims, f"ds-pm/{name}-carl-after", Fraction(30), u_red["C"])
-    down, _up = check_pm("dubins-spanier", p, "B")
-    _claim(claims, "ds-pm/verdict", False, down.ok)
+               _tup(*(down.before[a] for a in p.agents)))
+        _claim(claims, f"ds-pm/{name}-carl-after", Fraction(30),
+               down.after["C"])
+    _claim(claims, "ds-pm/verdict", False, downs["dubins-spanier"].ok)
     return claims
 
 
 def _fx_fink_pm() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_join_order()
-    rule = get_rule("fink")
-    u_full = _run(rule, p)[0][1]
-    u_red = _run(rule, remove_agent(p, "A"))[0][1]
-    _claim(claims, "fink-pm/bob-before", Fraction(8), u_full["B"])
-    _claim(claims, "fink-pm/bob-after", Fraction(6), u_red["B"])
-    down, _up = check_pm(rule, p, "A")
+    down, _up = check_pm("fink", p, "A")
+    _claim(claims, "fink-pm/bob-before", Fraction(8), down.before["B"])
+    _claim(claims, "fink-pm/bob-after", Fraction(6), down.after["B"])
     _claim(claims, "fink-pm/verdict", False, down.ok)
     return claims
+
+
+def _best_two_way(q: Problem, pivot: str,
+                  floor: dict[str, Rat]) -> Optional[Rat]:
+    """The pivot's largest constrained_max over the listed ordering of two
+    agents and its reverse; None when neither fits."""
+    vals = [constrained_max(q, pi, pivot, floor)
+            for pi in (q.agents, q.agents[::-1])]
+    return max((v for v in vals if v is not None), default=None)
 
 
 def _fx_thm1() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_forced_pair()
     share = {a: total(p.density(a)) / 2 for a in p.agents}
-
-    def best(q: Problem, pivot: str, floor: dict[str, Rat]) -> Optional[Rat]:
-        vals = [constrained_max(q, pi, pivot, floor)
-                for pi in ((q.agents), tuple(reversed(q.agents)))]
-        vals = [v for v in vals if v is not None]
-        return max(vals, default=None)
-
     _claim(claims, "thm1/alice-max-given-prop", Fraction(6),
-           best(p, "A", {"B": share["B"]}))
+           _best_two_way(p, "A", {"B": share["B"]}))
     _claim(claims, "thm1/bob-max-given-prop", Fraction(8),
-           best(p, "B", {"A": share["A"]}))
+           _best_two_way(p, "B", {"A": share["A"]}))
     big = append(p, *FORCED_EXTRA)
     _claim(claims, "thm1/bob-max-given-alice-7", Fraction(6),
-           best(big, "B", {"A": Fraction(7)}))
+           _best_two_way(big, "B", {"A": Fraction(7)}))
     _claim(claims, "thm1/greedy-7-7-infeasible", None,
            greedy_fit(big, big.agents, {"A": Fraction(7), "B": Fraction(7)}))
     return claims
@@ -397,11 +364,8 @@ def _fx_thm2() -> list[Claim]:
     p = cake_no_po_ef()
     division = Division.of({"A": [_iv(0, 5)], "B": [_iv(5, 6)], "C": [_iv(6, 7)]})
     _claim(claims, "thm2/carl-envies-alice", False, check_ef(p, division))
-    reduced = remove_agent(p, "B")
-    vals = [constrained_max(reduced, pi, "A", {"C": Fraction(7, 2)})
-            for pi in (("A", "C"), ("C", "A"))]
-    best = max(v for v in vals if v is not None)
-    _claim(claims, "thm2/alice-max-given-carl", Fraction(5), best)
+    _claim(claims, "thm2/alice-max-given-carl", Fraction(5),
+           _best_two_way(remove_agent(p, "B"), "A", {"C": Fraction(7, 2)}))
     return claims
 
 
@@ -463,37 +427,36 @@ def _fx_prefix_wpo() -> list[Claim]:
     return claims
 
 
-def _fx_crumbs_wpo() -> list[Claim]:
+def _witness_claims(tag: str, p: Problem, name: str, output: str,
+                    witness: Division, witness_values: str) -> list[Claim]:
+    """The rule's utilities, a hand-made witness's utilities, and that the
+    witness is strictly better for every agent."""
     claims: list[Claim] = []
-    p = cake_crumbs()
-    rule = get_rule("fink")
+    rule = get_rule(name)
     u = _run(rule, p)[0][1]
-    _claim(claims, "crumbs-wpo/output", "(3, 31/10)", _tup(u["A"], u["B"]))
-    witness = Division.of({"A": [_iv(1, 2), _iv(3, 4)],
-                           "B": [_iv(0, 1), _iv(2, 3)]})
+    _claim(claims, f"{tag}/output", output, _tup(*(u[a] for a in p.agents)))
     wu = utilities(p, witness, rule.mode).absolute
-    _claim(claims, "crumbs-wpo/witness", "(4, 4)", _tup(wu["A"], wu["B"]))
-    _claim(claims, "crumbs-wpo/witness-dominates", True,
+    _claim(claims, f"{tag}/witness", witness_values,
+           _tup(*(wu[a] for a in p.agents)))
+    _claim(claims, f"{tag}/witness-dominates", True,
            all(wu[a] > u[a] for a in p.agents))
     return claims
+
+
+def _fx_crumbs_wpo() -> list[Claim]:
+    witness = Division.of({"A": [_iv(1, 2), _iv(3, 4)],
+                           "B": [_iv(0, 1), _iv(2, 3)]})
+    return _witness_claims("crumbs-wpo", cake_crumbs(), "fink", "(3, 31/10)",
+                           witness, "(4, 4)")
 
 
 def _fx_splitter_wpo() -> list[Claim]:
-    claims: list[Claim] = []
-    p = cake_splitter_three()
-    rule = get_rule("selfridge-conway")
-    u = _run(rule, p)[0][1]
-    _claim(claims, "splitter-wpo/output", "(4, 4, 4)",
-           _tup(u["A"], u["B"], u["C"]))
     witness = Division.of({"A": [_iv(2, 3), _iv(4, 5)],
                            "B": [_iv(1, 2), _iv(3, 4)],
                            "C": [_iv(0, 1), _iv(5, 6)]})
-    wu = utilities(p, witness, rule.mode).absolute
-    _claim(claims, "splitter-wpo/witness", "(5, 6, 7)",
-           _tup(wu["A"], wu["B"], wu["C"]))
-    _claim(claims, "splitter-wpo/witness-dominates", True,
-           all(wu[a] > u[a] for a in p.agents))
-    return claims
+    return _witness_claims("splitter-wpo", cake_splitter_three(),
+                           "selfridge-conway", "(4, 4, 4)", witness,
+                           "(5, 6, 7)")
 
 
 # rule-property grid: recomputed entries for the four monotone rules

@@ -6,18 +6,20 @@ Determinism: chooser and part-selection ties resolve toward the right
 piece / rightmost part; stop-point ties resolve toward the lowest agent
 index.  Banach-Knaster and Dubins-Spanier thresholds renormalize to the
 remaining cake (value of the remaining cake divided by the number of
-remaining agents).
+remaining agents).  Dubins-Spanier and exact-proportional (rules_monotone)
+run the same lowest-mark round loop, lowest_mark_rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cake_measure import (
     CakeError,
     Density,
     Interval,
+    InvariantError,
     Problem,
     Rat,
     leftmost_mark,
@@ -123,26 +125,41 @@ def banach_knaster(p: Problem, order: Optional[Sequence[str]] = None) -> Divisio
     return Division.of(pieces)
 
 
+def lowest_mark_rounds(p: Problem, share: Callable[[Density, Rat, int], Rat],
+                       keep: int) -> tuple[dict[str, Piece], Rat, list[str]]:
+    """Rounds from the left end of the cake until keep agents remain: each
+    remaining agent marks the leftmost point worth share(d, start, m) from
+    the current start, with m agents remaining; the lowest mark (tie: lowest
+    index) exits with the prefix up to it.  Returns the pieces, the final
+    start and the agents left."""
+    start = Fraction(0)
+    remaining = list(p.agents)
+    pieces: dict[str, Piece] = {}
+    while len(remaining) > keep:
+        m = len(remaining)
+        marks = []
+        for a in remaining:
+            d = p.density(a)
+            y = leftmost_mark(d, start, share(d, start, m))
+            if y is None:
+                raise InvariantError("a remaining agent's share exceeds the "
+                                     "remaining cake")
+            marks.append((y, p.index(a), a))
+        y, _, winner = min(marks)
+        pieces[winner] = [Interval(start, y)]
+        start = y
+        remaining.remove(winner)
+    return pieces, start, remaining
+
+
 def dubins_spanier(p: Problem) -> Division:
     """Moving knife sweep: each remaining agent stops at its proportional
     share of the remaining cake; the earliest stop (tie: lowest index)
     exits with the prefix."""
-    s = Fraction(0)
     c = p.cake_length
-    pieces: dict[str, Piece] = {}
-    remaining = list(p.agents)
-    while len(remaining) > 1:
-        m = len(remaining)
-        stops = []
-        for a in remaining:
-            d = p.density(a)
-            y = leftmost_mark(d, s, value(d, Interval(s, c)) / m)
-            stops.append((y, p.index(a), a))
-        y, _, winner = min(stops)
-        pieces[winner] = [Interval(s, y)]
-        s = y
-        remaining.remove(winner)
-    pieces[remaining[0]] = [Interval(s, c)]
+    pieces, s, (last,) = lowest_mark_rounds(
+        p, lambda d, s, m: value(d, Interval(s, c)) / m, 1)
+    pieces[last] = [Interval(s, c)]
     return Division.of(pieces)
 
 

@@ -15,7 +15,6 @@ from .cake_measure import (
     InvariantError,
     Problem,
     Rat,
-    leftmost_mark,
     maximal_mark,
     rightmost_mark,
     total,
@@ -27,8 +26,10 @@ from .divisions import (
     Division,
     division_from_cuts,
     fitting_orderings,
+    mark_chain,
     sup_uniform_feasible,
 )
+from .rules_classic import lowest_mark_rounds
 
 
 @dataclass(frozen=True)
@@ -76,22 +77,7 @@ def exact_proportional(p: Problem) -> Division:
     from the current left edge; the leftmost marker (ties: lowest index)
     takes it.  Every agent ends with relative value exactly 1/n; the tail
     after the last round is discarded."""
-    start = Fraction(0)
-    remaining = list(p.agents)
-    pieces: dict[str, list[Interval]] = {}
-    while remaining:
-        marks = []
-        for a in remaining:
-            d = p.density(a)
-            y = leftmost_mark(d, start, total(d) / p.n)
-            if y is None:
-                raise InvariantError("discarded prefixes never exceed 1/n "
-                                     "shares")
-            marks.append((y, p.index(a), a))
-        y, _, winner = min(marks)
-        pieces[winner] = [Interval(start, y)]
-        start = y
-        remaining.remove(winner)
+    pieces, _, _ = lowest_mark_rounds(p, lambda d, start, m: total(d) / p.n, 0)
     return Division.of(pieces)
 
 
@@ -164,41 +150,27 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str],
     c = p.cake_length
     grid = p.grid
     t = _proportional_floor(p, scale)
-    x, pos = [], Fraction(0)
-    for d, sc in zip(dens, s):
-        pos = maximal_mark(d, pos, t * sc)
-        if pos is None:
-            break
-        x.append(pos)
-    if len(x) < n or x[-1] == c:
+    x = mark_chain(maximal_mark, dens, (t * sc for sc in s), Fraction(0))
+    if x is None or x[-1] == c:
         x, t = [Fraction(0)] * n, Fraction(0)
     while x[-1] != c:
+        # phase 2: the rightmost blocked knife r slides at unit speed;
+        # phase 1 (r = -1): the screen pushes every knife at its own scale.
+        # Every knife right of r then keeps its piece worth that push.
         blocked = [i for i in range(n)
                    if x[i] < c and dens[i].density_right_of(x[i]) == 0]
+        r = blocked[-1] if blocked else -1
+        v = [Fraction(0)] * n
         if blocked:
-            r = blocked[-1]
-            v = [Fraction(0)] * n
             v[r] = Fraction(1)
-            for k in range(r + 1, n):
-                push = dens[k].density_right_of(x[k - 1]) * v[k - 1]
-                v[k] = push / dens[k].density_right_of(x[k]) if push else Fraction(0)
-            step = min((grid.next_breakpoint(x[i]) - x[i]) / v[i]
-                       for i in range(r, n) if v[i] > 0)
-            for i in range(r, n):
-                x[i] += v[i] * step
-        else:
-            v = [Fraction(0)] * n
-            prev = Fraction(0)
-            prev_pos = Fraction(0)
-            for k in range(n):
-                back = dens[k].density_right_of(prev_pos) if k else Fraction(0)
-                v[k] = (s[k] + back * prev) / dens[k].density_right_of(x[k])
-                prev, prev_pos = v[k], x[k]
-            step = min((grid.next_breakpoint(x[i]) - x[i]) / v[i]
-                       for i in range(n))
+        for k in range(r + 1, n):
+            back = dens[k].density_right_of(x[k - 1]) * v[k - 1] if k else 0
+            v[k] = ((0 if blocked else s[k]) + back) / dens[k].density_right_of(x[k])
+        step = min((grid.next_breakpoint(xi) - xi) / vi
+                   for xi, vi in zip(x, v) if vi)
+        if not blocked:
             t += step
-            for i in range(n):
-                x[i] += v[i] * step
+        x = [xi + vi * step for xi, vi in zip(x, v)]
     result = EquitableResult(pi, tuple(x[:-1]), t, mode)
     lo = Fraction(0)
     for a, d, sc, hi in zip(pi, dens, s, x):

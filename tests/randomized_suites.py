@@ -6,11 +6,12 @@ per-suite granular tests and the acceptance roll-up share one computation.
 """
 
 import random
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 from functools import lru_cache
 from itertools import product
+from typing import Optional
 
-from cakecut.cake_measure import leftmost_mark, total
+from cakecut.cake_measure import Problem, leftmost_mark, problem, total
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
@@ -23,12 +24,7 @@ from cakecut.divisions import (
     partition_stats,
     utilities,
 )
-from cakecut.monotonicity_harness import (
-    check_pm,
-    check_rm,
-    random_enlargement,
-    random_problem,
-)
+from cakecut.monotonicity_harness import check_pm, check_rm
 from cakecut.rules_classic import cut_and_choose
 from cakecut.rules_monotone import (
     equitable_for_ordering,
@@ -37,6 +33,34 @@ from cakecut.rules_monotone import (
     max_equitable,
     rightmost_mark_rule,
 )
+
+# ---------------------------------------------------------------------------
+# Randomized problem generation (fixed seeds supplied by callers)
+
+
+def random_problem(rng: random.Random, n: Optional[int] = None,
+                   max_slices: int = 6, strictly_positive: bool = False) -> Problem:
+    n = n if n is not None else rng.choice([2, 2, 2, 3, 3, 4])
+    k = rng.randint(1, max_slices)
+    lengths = [rng.choice([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2)])
+               for _ in range(k)]
+    rows = []
+    low = 1 if strictly_positive else 0
+    for _ in range(n):
+        row = [Fraction(rng.randint(low, 9)) for _ in range(k)]
+        if all(v == 0 for v in row):
+            row[rng.randrange(k)] = Fraction(rng.randint(1, 9))
+        rows.append(row)
+    return problem(["A", "B", "C", "D"][:n], lengths, rows)
+
+
+def random_enlargement(rng: random.Random, p: Problem):
+    m = rng.randint(1, 2)
+    lengths = [rng.choice([Fraction(1), Fraction(1, 2), Fraction(2)])
+               for _ in range(m)]
+    rows = {a: [Fraction(rng.randint(0, 9)) for _ in range(m)] for a in p.agents}
+    return lengths, rows
+
 
 SEED = 20260824
 

@@ -65,6 +65,87 @@ EXAMPLE_CAKE = {
 }
 
 
+# the full `cakecut paper-tables` stdout: every claim of every fixture
+PAPER_TABLES = """\
+noop/rm-identical: PASS expected=True got=True
+cc-rm/bob-before: PASS expected=6 got=6
+cc-rm/bob-after: PASS expected=5 got=5
+cc-rm/verdict: PASS expected=False got=False
+sc-rm/carl-before: PASS expected=8 got=8
+sc-rm/carl-after-at-most-7: PASS expected=True got=True
+sc-rm/carl-after-below-8: PASS expected=True got=True
+sc-rm/verdict: PASS expected=False got=False
+ds-pm/dubins-spanier-full: PASS expected=(20, 30, 40) got=(20, 30, 40)
+ds-pm/dubins-spanier-carl-after: PASS expected=30 got=30
+ds-pm/even-paz-full: PASS expected=(20, 30, 40) got=(20, 30, 40)
+ds-pm/even-paz-carl-after: PASS expected=30 got=30
+ds-pm/banach-knaster-full: PASS expected=(20, 30, 40) got=(20, 30, 40)
+ds-pm/banach-knaster-carl-after: PASS expected=30 got=30
+ds-pm/verdict: PASS expected=False got=False
+fink-pm/bob-before: PASS expected=8 got=8
+fink-pm/bob-after: PASS expected=6 got=6
+fink-pm/verdict: PASS expected=False got=False
+thm1/alice-max-given-prop: PASS expected=6 got=6
+thm1/bob-max-given-prop: PASS expected=8 got=8
+thm1/bob-max-given-alice-7: PASS expected=6 got=6
+thm1/greedy-7-7-infeasible: PASS expected=None got=None
+thm2/carl-envies-alice: PASS expected=False got=False
+thm2/alice-max-given-carl: PASS expected=5 got=5
+nash/best-proportional-product: PASS expected=36 got=36
+nash/lopsided-product: PASS expected=40 got=40
+eq-not-rm/small-value: PASS expected=10/11 got=10/11
+eq-not-rm/big-value: PASS expected=1/2 got=1/2
+eq-not-rm/bob-before: PASS expected=20 got=20
+eq-not-rm/bob-after: PASS expected={Fraction(12, 1)} got={Fraction(12, 1)}
+eq-not-rm/relative-verdict: PASS expected=False got=False
+eq-not-rm/absolute-verdict: PASS expected=True got=True
+classic-wpo/banach-knaster-utilities: PASS expected=(2, 5, 5) got=(2, 5, 5)
+classic-wpo/banach-knaster-wpo: PASS expected=False got=False
+classic-wpo/banach-knaster-witness-dominates: PASS expected=True got=True
+classic-wpo/dubins-spanier-utilities: PASS expected=(2, 5, 5) got=(2, 5, 5)
+classic-wpo/dubins-spanier-wpo: PASS expected=False got=False
+classic-wpo/dubins-spanier-witness-dominates: PASS expected=True got=True
+classic-wpo/even-paz-utilities: PASS expected=(2, 5, 5) got=(2, 5, 5)
+classic-wpo/even-paz-wpo: PASS expected=False got=False
+classic-wpo/even-paz-witness-dominates: PASS expected=True got=True
+classic-wpo/paper-witness: PASS expected=(4, 6, 6) got=(4, 6, 6)
+crumbs-wpo/output: PASS expected=(3, 31/10) got=(3, 31/10)
+crumbs-wpo/witness: PASS expected=(4, 4) got=(4, 4)
+crumbs-wpo/witness-dominates: PASS expected=True got=True
+splitter-wpo/output: PASS expected=(4, 4, 4) got=(4, 4, 4)
+splitter-wpo/witness: PASS expected=(5, 6, 7) got=(5, 6, 7)
+splitter-wpo/witness-dominates: PASS expected=True got=True
+table1/exact-proportional/CON: PASS expected=Yes got=Yes
+table1/exact-proportional/EF: PASS expected=No got=No
+table1/exact-proportional/PROP: PASS expected=Yes got=Yes
+table1/exact-proportional/PO: PASS expected=No got=No
+table1/exact-proportional/WPO: PASS expected=No got=No
+table1/exact-proportional/RM: PASS expected=Yes got=Yes
+table1/exact-proportional/PM: PASS expected=Yes got=Yes
+table1/absolute-equitable/CON: PASS expected=Yes got=Yes
+table1/absolute-equitable/EF: PASS expected=No got=No
+table1/absolute-equitable/PROP: PASS expected=No got=No
+table1/absolute-equitable/PO: PASS expected=No got=No
+table1/absolute-equitable/WPO: PASS expected=Y.c.u. got=Y.c.u.
+table1/absolute-equitable/RM: PASS expected=Yes got=Yes
+table1/absolute-equitable/PM: PASS expected=Yes got=Yes
+table1/relative-equitable/CON: PASS expected=Yes got=Yes
+table1/relative-equitable/EF: PASS expected=No got=No
+table1/relative-equitable/PROP: PASS expected=Yes got=Yes
+table1/relative-equitable/PO: PASS expected=No got=No
+table1/relative-equitable/WPO: PASS expected=Y.c.u. got=Y.c.u.
+table1/relative-equitable/RM: PASS expected=No got=No
+table1/relative-equitable/PM: PASS expected=Yes got=Yes
+table1/rightmost-mark/CON: PASS expected=Yes got=Yes
+table1/rightmost-mark/EF: PASS expected=Yes got=Yes
+table1/rightmost-mark/PROP: PASS expected=Yes got=Yes
+table1/rightmost-mark/PO: PASS expected=No got=No
+table1/rightmost-mark/WPO: PASS expected=Y.c.u. got=Y.c.u.
+table1/rightmost-mark/RM: PASS expected=Yes got=Yes
+table1/rightmost-mark/PM: PASS expected=No got=No
+"""
+
+
 @pytest.fixture
 def files(tmp_path):
     def write(name, obj):
@@ -306,6 +387,13 @@ class TestOtherCommands:
             "thm2/carl-envies-alice: PASS expected=False got=False",
             "thm2/alice-max-given-carl: PASS expected=5 got=5",
         ]
+
+    def test_paper_tables_golden(self, capsys):
+        code = main(["paper-tables"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.splitlines()) == 76
+        assert out == PAPER_TABLES
 
     def test_paper_tables_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "paper-tables", "--only", "bogus")

@@ -4,7 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from cakecut.cake_measure import CakeError, Interval, problem, remove_agent
+from cakecut.cake_measure import (
+    CakeError,
+    Interval,
+    leftmost_mark,
+    problem,
+    remove_agent,
+    suffix_mark,
+)
 from cakecut.divisions import (
     ABSOLUTE,
     ADDITIVE,
@@ -22,6 +29,7 @@ from cakecut.divisions import (
     division_from_json,
     division_to_json,
     greedy_fit,
+    mark_chain,
     max_slack,
     nash_product,
     sup_uniform_feasible,
@@ -135,6 +143,32 @@ class TestAxioms:
         assert not check_esv(p, [even, uneven])
         with pytest.raises(CakeError):
             check_esv(p, [])
+
+
+class TestMarkChain:
+    def test_prefix_chain(self):
+        p = forced_pair()
+        dens = [p.density("A"), p.density("B")]
+        assert mark_chain(leftmost_mark, dens, [F(6), F(4)], F(0)) == [1, 2]
+
+    def test_suffix_chain_right_to_left(self):
+        p = forced_pair()
+        dens = [p.density("B"), p.density("A")]
+        assert mark_chain(suffix_mark, dens, [F(4), F(2)],
+                          p.cake_length) == [2, F(2, 3)]
+
+    def test_stops_reading_targets_at_the_first_failing_mark(self):
+        p = forced_pair()
+        read = []
+
+        def targets():
+            for t in (F(6), F(100), F(1)):
+                read.append(t)
+                yield t
+
+        dens = [p.density("A"), p.density("B"), p.density("A")]
+        assert mark_chain(leftmost_mark, dens, targets(), F(0)) is None
+        assert read == [6, 100]
 
 
 class TestGreedyFit:

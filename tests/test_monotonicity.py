@@ -109,6 +109,13 @@ class TestSharedBaseRun:
         assert [q is first for _, q in runs if q in (first, second)] == [
             True, False]
 
+    def test_empty_enlargement_runs_the_rule_once(self, monkeypatch):
+        runs = counted_runs(monkeypatch)
+        p = halves_pair()
+        verdicts = check_rm("cut-and-choose", p, [], {})
+        assert all(v.ok for v in verdicts)
+        assert runs == [("cut-and-choose", p)]
+
     def test_mutating_a_verdict_leaves_later_verdicts_alone(self):
         p = halves_pair()
         extra = ([1], {"A": [2], "B": [2]})
