@@ -119,14 +119,18 @@ def _cmd_check(args) -> int:
     if mode != CONNECTED and {"wpo", "po"} & set(props):
         raise CakeError("wpo and po are checked over connected partitions "
                         "only; use --utility-mode connected")
+    # one valuation of x for the checks that read its utilities; like each
+    # check, it validates x before any verdict is printed
+    u = (utilities(p, x, mode) if {"prop", "ef", "equitable"} & set(props)
+         else None)
     failed = False
     for name in props:
         if name == "prop":
-            ok, detail = check_prop(p, x, mode), ""
+            ok, detail = check_prop(p, x, mode, u), ""
         elif name == "ef":
-            ok, detail = check_ef(p, x, mode), ""
+            ok, detail = check_ef(p, x, mode, u), ""
         elif name == "equitable":
-            ok, stats = check_equitable(p, x, args.value_mode, mode)
+            ok, stats = check_equitable(p, x, args.value_mode, mode, u)
             detail = (f" v_min={_fmt(stats.v_min, args.decimal)}"
                       f" v_max={_fmt(stats.v_max, args.decimal)}")
         else:

@@ -143,22 +143,30 @@ def utilities(p: Problem, x: Division, mode: str = CONNECTED) -> UtilityVector:
 
 
 def partition_stats(p: Problem, x: Division, value_mode: str,
-                    mode: str = CONNECTED) -> PartitionStats:
-    u = utilities(p, x, mode)
+                    mode: str = CONNECTED,
+                    u: Optional[UtilityVector] = None) -> PartitionStats:
+    if u is None:
+        u = utilities(p, x, mode)
     vals = u.relative if value_mode == RELATIVE else u.absolute
     return PartitionStats(min(vals.values()), max(vals.values()))
 
 
-def check_prop(p: Problem, x: Division, mode: str = CONNECTED) -> bool:
-    """True iff every agent's relative value is at least 1/n."""
-    u = utilities(p, x, mode)
+def check_prop(p: Problem, x: Division, mode: str = CONNECTED,
+               u: Optional[UtilityVector] = None) -> bool:
+    """True iff every agent's relative value is at least 1/n.  The checkers
+    that read x's utilities take them as u when the caller has them already
+    (utilities(p, x, mode)); by default they compute them."""
+    if u is None:
+        u = utilities(p, x, mode)
     share = Fraction(1, p.n)
     return all(u.relative[a] >= share for a in p.agents)
 
 
-def check_ef(p: Problem, x: Division, mode: str = CONNECTED) -> bool:
+def check_ef(p: Problem, x: Division, mode: str = CONNECTED,
+             u: Optional[UtilityVector] = None) -> bool:
     """True iff no agent values another agent's piece above its own."""
-    u = utilities(p, x, mode)
+    if u is None:
+        u = utilities(p, x, mode)
     for a in p.agents:
         d = p.density(a)
         for b in x.agents():
@@ -170,8 +178,9 @@ def check_ef(p: Problem, x: Division, mode: str = CONNECTED) -> bool:
 
 
 def check_equitable(p: Problem, x: Division, value_mode: str,
-                    mode: str = CONNECTED) -> tuple[bool, PartitionStats]:
-    stats = partition_stats(p, x, value_mode, mode)
+                    mode: str = CONNECTED, u: Optional[UtilityVector] = None
+                    ) -> tuple[bool, PartitionStats]:
+    stats = partition_stats(p, x, value_mode, mode, u)
     return stats.v_min == stats.v_max, stats
 
 
@@ -318,47 +327,64 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     when start itself is infeasible, so the supremum lies below start.
 
     Targets never decrease in theta and marks are monotone in their
-    targets, so every theta below a feasible one is feasible: one greedy
-    pass at start decides whether the supremum reaches start, and a sweep
+    targets, so every theta below a feasible one is feasible, and a sweep
     from any feasible start ends at the same exact supremum.  Callers pass
     a floor as start to skip orderings that cannot reach it.
 
-    Exact event sweep: between events every cut position is an affine
-    function of theta; events are cuts crossing grid breakpoints, a clamped
-    target turning positive, and the remaining cake being exhausted.  The
-    supremum is attained (feasibility is a closed condition), including at
-    points where a cut jumps across a zero-density stretch.
+    Exact event sweep over the chain of maximal marks: between events every
+    cut position is an affine function of theta.  The events are a cut
+    crossing a grid breakpoint, a clamped target turning positive, and the
+    last agent's exhaustion: the value it has left over its target, left =
+    avail - tval, is affine between the other events and falls at rate
+    beta_n + d_n(pos) * slope > 0, so its root is the last agent's only
+    event (its own mark is never taken).  The supremum is attained (feasibility is a
+    closed condition), including at points where a cut jumps across a
+    zero-density stretch.
+
+    The chain certifies each step.  When every unclamped agent has avail >
+    tval, the maximal chain at theta is complete; leftmost marks lie at or
+    before maximal marks and are monotone in their start, so the greedy
+    pass would succeed there too.  The greedy pass runs only where the
+    chain gets stuck, once per sweep: failing at start it returns None,
+    failing after a step it raises InvariantError; otherwise theta is the
+    supremum, since at any larger theta every leftmost mark lies beyond the
+    stuck chain's mark and the stuck agent's strictly larger target no
+    longer fits.
     """
     dens = [p.density(a) for a in pi]
     if any(b <= 0 for b in betas):
         raise CakeError("sweep requires strictly positive slopes")
-    theta = Fraction(start)
-    if _greedy_raw(dens, alphas, betas, theta) is None:
-        return None
+    theta = start = Fraction(start)
+    last = len(dens) - 1
     while True:
         pos = Fraction(0)
         slope = Fraction(0)
         events: list[Rat] = []
-        stuck = False
-        for d, a, b in zip(dens, alphas, betas):
+        for i, (d, a, b) in enumerate(zip(dens, alphas, betas)):
             tval = a + b * theta
             if tval < 0:
                 # target clamped to zero; it unclamps at theta = -a/b
                 events.append(-a / b)
                 continue
-            avail = total(d) - d.prefix_at(pos)
-            if avail <= tval:
-                stuck = True
-                break
+            left = total(d) - d.prefix_at(pos) - tval
+            if left <= 0:
+                break  # stuck: the chain does not certify theta
+            push = b + d.density_right_of(pos) * slope
+            if i == last:
+                events.append(theta + left / push)
+                continue
             y = maximal_mark(d, pos, tval)
-            new_slope = (b + d.density_right_of(pos) * slope) / d.density_right_of(y)
-            events.append(theta + (d.grid.next_breakpoint(y) - y) / new_slope)
-            pos, slope = y, new_slope
-        if stuck:
+            slope = push / d.density_right_of(y)
+            events.append(theta + (d.grid.next_breakpoint(y) - y) / slope)
+            pos = y
+        else:
+            theta = min(events)  # every event lies beyond theta
+            continue
+        if _greedy_raw(dens, alphas, betas, theta) is not None:
             return theta
-        theta = min(e for e in events if e > theta)
-        if _greedy_raw(dens, alphas, betas, theta) is None:
-            raise InvariantError(f"sweep stepped to infeasible theta {theta}")
+        if theta == start:
+            return None
+        raise InvariantError(f"sweep stepped to infeasible theta {theta}")
 
 
 def _greedy_raw(dens, alphas, betas, theta):

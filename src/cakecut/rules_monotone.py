@@ -110,8 +110,8 @@ def rightmost_mark_rule(p: Problem) -> Division:
 # Equitable rules
 
 
-def equitable_for_ordering(p: Problem, pi: Sequence[str],
-                           mode: str) -> EquitableResult:
+def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
+                           floor: Rat = Fraction(0)) -> EquitableResult:
     """Exact event-driven simulation of the two-phase moving-knife.
 
     One knife per agent plus a value screen t.  In phase 1 all knives move
@@ -139,6 +139,14 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str],
     the end of the cake, the ordering is worth exactly L and the t = 0 run
     may stop at L before its slides are done, with some cut left of the
     chain; hence the fallback.
+
+    A caller that knows a lower bound on this ordering's value passes it as
+    floor, and the simulation starts at max(L, floor) instead of L.  By
+    (3), any start in [L, v) gives the same result.  A start at or above v
+    falls back to t = 0, exactly as L = v does: above v no maximal chain
+    exists (the minimal chain would fit there), and at v it ends at the end
+    of the cake (a last mark before it has cake of positive value to its
+    right, so the chain would still fit a little above v).
     """
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
@@ -149,7 +157,7 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str],
     n = len(pi)
     c = p.cake_length
     grid = p.grid
-    t = _proportional_floor(p, scale)
+    t = max(_proportional_floor(p, scale), floor)
     x = mark_chain(maximal_mark, dens, (t * sc for sc in s), Fraction(0))
     if x is None or x[-1] == c:
         x, t = [Fraction(0)] * n, Fraction(0)
@@ -201,26 +209,34 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     taken, and prunes every ordering whose prefix does not fit; the floor
     only rises, so pruning from cuts taken at an earlier floor never drops
     an ordering that reaches the current one.  Each ordering it yields is
-    swept by the oracle from the floor, which returns None, after one
-    greedy pass, for one that no longer reaches it.
+    swept by the oracle from the floor, which returns None for one that no
+    longer reaches it.
+
+    The winners are simulated from prev, the floor before the last rise:
+    every winner is worth best > prev (or prev = best = L when the floor
+    never rose, which falls back to t = 0 as before), so the result equals
+    the simulation from L (see equitable_for_ordering).  The simulation
+    reads nothing of the oracle but that start, and it returns the
+    ordering's own value from any start, so a wrong oracle value still
+    shows as a disagreement.
     """
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
-    best = _proportional_floor(p, scale)
+    prev = best = _proportional_floor(p, scale)
     winners: list[tuple[str, ...]] = []
     for pi in fitting_orderings(p, lambda a: best * scale[a]):
         v = sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], best)
         if v is None:
             continue
         if v > best or not winners:
-            best, winners = v, [pi]
+            prev, best, winners = best, v, [pi]
         else:  # v == best
             winners.append(pi)
     if not winners:
         raise CakeError("no ordering reaches the proportional bound")
     divisions = []
     for pi in winners:
-        sim = equitable_for_ordering(p, pi, mode)
+        sim = equitable_for_ordering(p, pi, mode, floor=prev)
         if sim.value != best:
             raise InvariantError("simulation and oracle disagree")
         divisions.append(sim.division(p))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cakecut import cli, divisions
 from cakecut.cli import main
 
 CC_SMALL = {
@@ -302,6 +303,38 @@ class TestCheck:
                            "--division", div, "--properties", "wpo")
         assert code == 1
         assert out[0].startswith("wpo: FAIL witness ")
+
+    def test_utilities_computed_once(self, files, capsys, monkeypatch):
+        real = divisions.utilities
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(divisions, "utilities", counted)
+        monkeypatch.setattr(cli, "utilities", counted)
+        prob = files("p.json", CC_SMALL)
+        div = files("d.json", [{"agent": "A", "intervals": [["0", "3"]]},
+                               {"agent": "B", "intervals": [["3", "4"]]}])
+        code, out, _ = run(capsys, "check", "--problem", prob,
+                           "--division", div,
+                           "--properties", "prop,ef,equitable")
+        assert (code, out) == (1, ["prop: FAIL", "ef: FAIL",
+                                   "equitable: FAIL v_min=3/8 v_max=3/4"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("props", ["prop,ef", "ef,equitable", "wpo,prop",
+                                       "po"])
+    def test_invalid_division_exits_2_before_any_verdict(self, files, capsys,
+                                                         props):
+        prob = files("p.json", CC_SMALL)
+        div = files("d.json", [{"agent": "A", "intervals": [["0", "3"]]},
+                               {"agent": "B", "intervals": [["2", "4"]]}])
+        code, out, err = run(capsys, "check", "--problem", prob,
+                             "--division", div, "--properties", props)
+        assert (code, out) == (2, [])
+        assert "pieces overlap near 2" in err
 
     def test_unknown_property_exits_2(self, files, capsys):
         prob = files("p.json", CC_SMALL)

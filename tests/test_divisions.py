@@ -1,12 +1,17 @@
 """Axiom checkers, feasibility primitives, and connected Pareto search."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from cakecut import divisions
 from cakecut.cake_measure import (
     CakeError,
     Interval,
+    InvariantError,
     leftmost_mark,
     problem,
     remove_agent,
@@ -267,6 +272,70 @@ class TestSweep:
         with pytest.raises(CakeError):
             sup_uniform_feasible(p, ("A", "B"), [F(0), F(0)], [F(1), F(0)],
                                  F(0))
+
+
+def jump_cake():
+    # the cake of TestSweep's feasibility jump: supremum 1/2 from 0
+    return problem(["A", "B"], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])
+
+
+class TestSweepSelfCheck:
+    """The sweep's greedy pass, run where the chain of maximal marks gets
+    stuck, made to fail: after a step it must raise, at the start it means
+    the supremum lies below the start.  On jump_cake the sweep from 0
+    steps to the supremum 1/2."""
+
+    LINE = (("A", "B"), [F(0), F(0)], [F(2), F(1)])
+
+    def test_failing_pass_after_a_step_raises(self, monkeypatch):
+        monkeypatch.setattr(divisions, "_greedy_raw", lambda *args: None)
+        with pytest.raises(InvariantError,
+                           match="^sweep stepped to infeasible theta 1/2$"):
+            sup_uniform_feasible(jump_cake(), *self.LINE, F(0))
+
+    def test_failing_pass_at_start_gives_none(self, monkeypatch):
+        monkeypatch.setattr(divisions, "_greedy_raw", lambda *args: None)
+        assert sup_uniform_feasible(jump_cake(), *self.LINE, F(1, 2)) is None
+
+    def test_self_check_runs_under_python_O(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from cakecut import divisions\n"
+            "from cakecut.cake_measure import InvariantError, problem\n"
+            "divisions._greedy_raw = lambda *args: None\n"
+            "p = problem(['A', 'B'], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])\n"
+            "line = (p, ('A', 'B'), [F(0), F(0)], [F(2), F(1)])\n"
+            "print(divisions.sup_uniform_feasible(*line, F(1, 2)))\n"
+            "try:\n"
+            "    divisions.sup_uniform_feasible(*line, F(0))\n"
+            "except InvariantError as e:\n"
+            "    print(e)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == "None\nsweep stepped to infeasible theta 1/2\n"
+
+    def test_one_greedy_pass_per_sweep(self, monkeypatch):
+        real = divisions._greedy_raw
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(divisions, "_greedy_raw", counted)
+        p = nash_cake()
+        sweeps = 0
+        for pi in (("A", "B"), ("B", "A")):
+            for alphas, start in (([F(0), F(0)], F(0)),
+                                  ([F(-1), F(2)], F(-3)),
+                                  ([F(0), F(0)], F(1))):
+                sup_uniform_feasible(p, pi, alphas, [F(1), F(2)], start)
+                sweeps += 1
+                assert len(passes) == sweeps
+        assert sup_uniform_feasible(jump_cake(), *self.LINE, F(0)) == F(1, 2)
+        assert len(passes) == sweeps + 1
 
 
 class TestParetoCheckers:

@@ -2,7 +2,8 @@
 starts its moving-knife simulation at the proportional floor L; the
 reference below is the same event loop started at t = 0 with every knife
 at 0.  Both must give an equal EquitableResult for every ordering, not only
-the argmax ones, in both value modes."""
+the argmax ones, in both value modes, and so must a start raised to a
+caller's floor."""
 
 from fractions import Fraction as F
 from itertools import permutations
@@ -150,3 +151,19 @@ def test_named_cakes_reach_their_cases(mode):
     p = blocked_at_end()
     assert floor_case(p, ("A", "B"), mode) == "end"
     assert equitable_for_ordering(p, ("A", "B"), mode).cuts == (1,)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("index", range(len(problems())),
+                         ids=[f"n{p.n}-{i}" for i, p in enumerate(problems())])
+def test_any_floor_gives_the_default_result(index, mode):
+    """A floor below the ordering's value v starts the simulation above L;
+    one at or above v falls back to t = 0.  Neither changes the result."""
+    p = problems()[index]
+    low = proportional_bound(p, mode)
+    for pi in permutations(p.agents):
+        expected = equitable_for_ordering(p, pi, mode)
+        v = expected.value
+        for floor in (low, (low + v) / 2, v, v + 1):
+            assert equitable_for_ordering(p, pi, mode, floor=floor) == \
+                expected, floor

@@ -197,8 +197,8 @@ class TestSelfChecks:
     def test_simulation_oracle_disagreement_raises(self, monkeypatch):
         real = rules_monotone.equitable_for_ordering
 
-        def skewed(p, pi, mode):
-            sim = real(p, pi, mode)
+        def skewed(p, pi, mode, **kw):
+            sim = real(p, pi, mode, **kw)
             return dataclasses.replace(sim, value=sim.value + 1)
 
         monkeypatch.setattr(rules_monotone, "equitable_for_ordering", skewed)
@@ -212,8 +212,8 @@ class TestSelfChecks:
             "from cakecut import rules_monotone as rm\n"
             "from cakecut.cake_measure import InvariantError, problem\n"
             "real = rm.equitable_for_ordering\n"
-            "rm.equitable_for_ordering = lambda p, pi, mode: "
-            "dataclasses.replace(real(p, pi, mode), value=0)\n"
+            "rm.equitable_for_ordering = lambda p, pi, mode, **kw: "
+            "dataclasses.replace(real(p, pi, mode, **kw), value=0)\n"
             "p = problem(['A', 'B'], [1, 1], [[1, 1], [1, 3]])\n"
             "try:\n"
             "    rm.max_equitable(p, 'relative')\n"

@@ -1,0 +1,222 @@
+"""Differential test of the exact parametric sweep.
+
+divisions.sup_uniform_feasible is compared with the sweep it replaced,
+kept below verbatim as the oracle: one greedy pass at start and another
+after every event step, and the last agent's mark stepping across
+breakpoints.  Outcomes are compared exactly, by repr, or by exception type
+and message, on three sets of lines (alphas, betas, start):
+
+- the equitable lines (alphas 0, betas the scales) of every ordering of the
+  fixed-seed corpus in both value modes, from the proportional floor L,
+  from 0 and from the ordering's own value;
+- the WPO slack lines (u_i + delta * V_i) of the max_equitable and
+  exact_proportional outputs, for every ordering of the corpus's n <= 3
+  cakes, from max_slack's start, where the targets of all agents but
+  those of the largest u_i / V_i are clamped at zero, and from 0 (the
+  n >= 4 lines would double the file's time, and the random lines below
+  reach clamped targets at n = 4);
+- fixed-seed random lines with n = 1..4, negative alphas and starts past
+  the supremum included.
+"""
+
+import random
+from fractions import Fraction as F
+from functools import lru_cache
+from itertools import permutations
+
+import pytest
+
+from cakecut.cake_measure import (
+    CakeError,
+    InvariantError,
+    leftmost_mark,
+    maximal_mark,
+    total,
+)
+from cakecut.divisions import (
+    ABSOLUTE,
+    RELATIVE,
+    _slack_line,
+    mark_chain,
+    sup_uniform_feasible,
+    utilities,
+)
+from cakecut.rules_monotone import (
+    equitable_for_ordering,
+    exact_proportional,
+    max_equitable,
+)
+
+from test_pruned_search import _random_problem, corpus, proportional_bound
+
+
+def oracle_sup_uniform_feasible(p, pi, alphas, betas, start):
+    dens = [p.density(a) for a in pi]
+    if any(b <= 0 for b in betas):
+        raise CakeError("sweep requires strictly positive slopes")
+    theta = F(start)
+    if oracle_greedy_raw(dens, alphas, betas, theta) is None:
+        return None
+    while True:
+        pos = F(0)
+        slope = F(0)
+        events = []
+        stuck = False
+        for d, a, b in zip(dens, alphas, betas):
+            tval = a + b * theta
+            if tval < 0:
+                # target clamped to zero; it unclamps at theta = -a/b
+                events.append(-a / b)
+                continue
+            avail = total(d) - d.prefix_at(pos)
+            if avail <= tval:
+                stuck = True
+                break
+            y = maximal_mark(d, pos, tval)
+            new_slope = (b + d.density_right_of(pos) * slope) / d.density_right_of(y)
+            events.append(theta + (d.grid.next_breakpoint(y) - y) / new_slope)
+            pos, slope = y, new_slope
+        if stuck:
+            return theta
+        theta = min(e for e in events if e > theta)
+        if oracle_greedy_raw(dens, alphas, betas, theta) is None:
+            raise InvariantError(f"sweep stepped to infeasible theta {theta}")
+
+
+def oracle_greedy_raw(dens, alphas, betas, theta):
+    return mark_chain(leftmost_mark, dens,
+                      (max(F(0), a + b * theta)
+                       for a, b in zip(alphas, betas)), F(0))
+
+
+def run(sweep, line):
+    """(result, outcome): the outcome is the result's repr, or the type and
+    message of the exception raised."""
+    try:
+        result = sweep(*line)
+    except Exception as e:  # compared, not handled
+        return None, f"{type(e).__name__}: {e}"
+    return result, repr(result)
+
+
+def features(p, pi, alphas, betas, start, sup):
+    """Which of the cases the line reaches: "none" (start past the
+    supremum), "clamped" (a target clamped at zero at a feasible start) and
+    "last-crossing" (the last agent's mark crosses an interior breakpoint
+    between start and the supremum: its maximal mark at start lies left of
+    the breakpoint, its leftmost mark at the supremum right of it)."""
+    if sup is None:
+        return {"none"}
+    seen = set()
+    if any(a + b * start < 0 for a, b in zip(alphas, betas)):
+        seen.add("clamped")
+    dens = [p.density(a) for a in pi]
+
+    def chain(mark, theta):
+        return mark_chain(mark, dens, (max(F(0), a + b * theta)
+                                       for a, b in zip(alphas, betas)), F(0))
+
+    before, after = chain(maximal_mark, start), chain(leftmost_mark, sup)
+    if before is not None and any(before[-1] < x < after[-1]
+                                  for x in p.grid.breakpoints[1:-1]):
+        seen.add("last-crossing")
+    return seen
+
+
+def compare(lines):
+    """Asserts both sweeps agree on every line; returns the cases seen."""
+    seen = set()
+    for line in lines:
+        sup, expected = run(oracle_sup_uniform_feasible, line)
+        assert run(sup_uniform_feasible, line)[1] == expected, line
+        seen |= features(*line, sup)
+    return seen
+
+
+def scale_line(p, pi, mode):
+    betas = [total(p.density(a)) if mode == RELATIVE else F(1) for a in pi]
+    return [F(0)] * len(pi), betas
+
+
+def equitable_lines(p):
+    for mode in (RELATIVE, ABSOLUTE):
+        for pi in permutations(p.agents):
+            alphas, betas = scale_line(p, pi, mode)
+            own = equitable_for_ordering(p, pi, mode).value
+            for start in (proportional_bound(p, mode), F(0), own):
+                yield p, pi, alphas, betas, start
+
+
+def slack_lines(p):
+    for x in (max_equitable(p, RELATIVE).divisions[0],
+              max_equitable(p, ABSOLUTE).divisions[0],
+              exact_proportional(p)):
+        base = utilities(p, x)
+        for pi in permutations(p.agents):
+            alphas, betas = _slack_line(p, pi, base)
+            for start in (min(-u / v for u, v in zip(alphas, betas)), F(0)):
+                yield p, pi, alphas, betas, start
+
+
+def _rat(rng, lo, hi, den=4):
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+def random_lines(n, count=150):
+    """count lines on fixed-seed n-agent cakes: alphas in [-2, 1], betas in
+    (0, 3], starts in [-1, 2], so some starts lie past the supremum."""
+    rng = random.Random(7919 * n)
+    lines = []
+    while len(lines) < count:
+        p = _random_problem(rng, n)
+        for pi in permutations(p.agents):
+            alphas = [_rat(rng, -2, 1) for _ in pi]
+            betas = [_rat(rng, 0, 3) or F(1, 4) for _ in pi]
+            lines.append((p, pi, alphas, betas, _rat(rng, -1, 2)))
+    return lines[:count]
+
+
+@lru_cache(maxsize=None)
+def corpus_cases(index, kind):
+    p = corpus()[index]
+    return compare(equitable_lines(p) if kind == "equitable"
+                   else slack_lines(p))
+
+
+@lru_cache(maxsize=None)
+def random_cases(n):
+    return compare(random_lines(n))
+
+
+CASES = range(len(corpus()))
+IDS = [f"n{p.n}-{i}" for i, p in enumerate(corpus())]
+
+
+@pytest.mark.parametrize("index", CASES, ids=IDS)
+def test_equitable_lines_match_oracle(index):
+    corpus_cases(index, "equitable")
+
+
+SLACK_CASES = [i for i in CASES if corpus()[i].n <= 3]
+
+
+@pytest.mark.parametrize("index", SLACK_CASES,
+                         ids=[IDS[i] for i in SLACK_CASES])
+def test_slack_lines_match_oracle(index):
+    corpus_cases(index, "slack")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_lines_match_oracle(n):
+    random_cases(n)
+
+
+def test_lines_reach_every_case():
+    seen = set()
+    for index in CASES:
+        seen |= corpus_cases(index, "equitable")
+    for index in SLACK_CASES:
+        seen |= corpus_cases(index, "slack")
+    for n in (1, 2, 3, 4):
+        seen |= random_cases(n)
+    assert seen == {"none", "clamped", "last-crossing"}
