@@ -42,7 +42,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", _rat(self.lo))
         object.__setattr__(self, "hi", _rat(self.hi))
-        if self.lo < 0 or self.lo > self.hi:
+        if self.lo.numerator < 0 or self.lo > self.hi:
             raise CakeError(f"bad interval [{self.lo}, {self.hi}]")
 
     @property
@@ -127,22 +127,20 @@ class SliceGrid:
         return self.breakpoints[k + 1]
 
 
-def _outside(grid: SliceGrid, x: Rat) -> bool:
-    """x < 0 or x > c, by integer cross-multiplication."""
-    s, b = grid.scaled
-    return x.numerator < 0 or x.numerator * s > b[-1] * x.denominator
-
-
 @dataclass(frozen=True)
 class Density:
     """Per-slice constant densities on a grid; total value must be positive.
 
-    Lookups by value run on integers: ``scaled`` holds K, P and R, where
-    prefix[k] = P[k] / K and values[k] = R[k] * S / K for the grid's scale
-    S.  K is the lcm of the denominators of the prefix sums and of the
-    values[k] / S, so all of P and R are ints.  A goal value g is placed
-    among the prefix sums by comparing floor(g * K) with P, which is exact
-    for the same reason as point lookups on the grid.
+    Every value, mark and sweep step runs on one integer kernel.
+    ``scaled`` holds K, P and R, where prefix[k] = P[k] / K and values[k] =
+    R[k] * S / K for the grid's scale S.  K is the lcm of the denominators
+    of the prefix sums and of the values[k] / S, so all of P and R are
+    ints.  ``_prefix`` evaluates K * den * value[0, num/den] as an int from
+    one grid locate; ``_goal`` places a goal value, in the same units, among
+    P by comparing floor(goal * K) with P, which is exact for the same
+    reason as point lookups on the grid, and returns the first or the last
+    point where the prefix value reaches it.  Each public result is built
+    from these ints as one normalised Fraction.
     """
 
     grid: SliceGrid
@@ -177,18 +175,84 @@ class Density:
         n = len(self.prefix)
         return m, keys[:n], keys[n:]
 
+    def _prefix(self, num: int, den: int) -> Optional[tuple[int, int]]:
+        """Prefix evaluator: (k, K * den * value[0, x]) for the point x =
+        num/den (den > 0), where k is the slice right of x (len(values)
+        at x = c); None when x lies outside the cake."""
+        s, b = self.grid.scaled
+        k, q, r = _locate(b, s, num, den)
+        c = b[-1]
+        if q < 0 or q > c or (q == c and r):  # x < 0 or x > c
+            return None
+        m, p, rate = self.scaled
+        if q == c:  # x == c
+            return k, p[-1] * den
+        # K * value = P[k] + R[k] * (x * S - B[k]), and x * S = q + r / den
+        return k, p[k] * den + rate[k] * ((q - b[k]) * den + r)
+
+    def _goal(self, g: int, den: int, last: bool) -> tuple[int, Rat]:
+        """Goal locator: for the goal value g / (K * den), between 0 and the
+        total, (k, y) where y is the first point (the last, if last) at which
+        the prefix value reaches the goal and k is the slice right of y
+        (len(values) at y = c)."""
+        _, p, rate = self.scaled
+        # g / den is the goal already scaled by K; k is the last breakpoint
+        # with P[k] <= q
+        k, q, r = _locate(p, 1, g, den)
+        if r or p[k] != q:
+            # P[k] < goal * K < P[k + 1], so slice k has positive density:
+            # y = B[k] / S + (goal * K - P[k]) / (R[k] * S)
+            s, b = self.grid.scaled
+            return k, Fraction((b[k] * rate[k] + q - p[k]) * den + r,
+                               rate[k] * s * den)
+        # the goal is a breakpoint value; P is flat across zero-density
+        # slices, so the breakpoints achieving it form one run ending at k
+        if not last:
+            while k > 0 and p[k - 1] == q:
+                k -= 1
+        return k, self.grid.breakpoints[k]
+
+    def _between(self, lo: Rat, hi: Rat) -> Optional[Rat]:
+        """Value of [lo, hi] for 0 <= lo <= hi, or None when hi > c."""
+        top = self._prefix(hi.numerator, hi.denominator)
+        if top is None:
+            return None
+        ld, hd = lo.denominator, hi.denominator
+        bottom = self._prefix(lo.numerator, ld)[1]
+        return Fraction(top[1] * ld - bottom * hd, self.scaled[0] * ld * hd)
+
+    def _sweep_step(self, pos: Rat, target: Rat):
+        """One agent's step of the parametric sweep, from one grid locate
+        and one goal locate: (left, y, density right of pos, density right
+        of y, the next breakpoint beyond y), where left = value[pos, c] -
+        target and y = maximal_mark(self, pos, target).  When left <= 0 the
+        mark is not taken and the last four are None."""
+        pd = pos.denominator
+        at = self._prefix(pos.numerator, pd)
+        if at is None:
+            raise CakeError(f"point {pos} outside cake")
+        tn, td = target.numerator, target.denominator
+        m, p, _ = self.scaled
+        den = pd * td
+        g = at[1] * td + tn * m * pd  # the goal value[0, pos] + target
+        rest = p[-1] * den - g
+        left = Fraction(rest, m * den)
+        if rest <= 0:
+            return left, None, None, None, None
+        if tn < 0:
+            raise CakeError("target must be nonnegative")
+        # the goal lies below the total, so y < c and slice k exists
+        k, y = self._goal(g, den, True)
+        return (left, y, self.values[at[0]], self.values[k],
+                self.grid.breakpoints[k + 1])
+
     def prefix_at(self, x: Rat) -> Rat:
         """Value of [0, x]."""
-        if _outside(self.grid, x):
-            raise CakeError(f"point {x} outside cake")
-        s, b = self.grid.scaled
         xd = x.denominator
-        k, q, r = _locate(b, s, x.numerator, xd)
-        if q == b[-1]:  # x <= c and x * S >= C, so x == c
-            return self.prefix[-1]
-        # K * value = P[k] + R[k] * (x * S - B[k]), and x * S = q + r / xd
-        m, p, rate = self.scaled
-        return Fraction(p[k] * xd + rate[k] * ((q - b[k]) * xd + r), m * xd)
+        at = self._prefix(x.numerator, xd)
+        if at is None:
+            raise CakeError(f"point {x} outside cake")
+        return Fraction(at[1], self.scaled[0] * xd)
 
     def density_right_of(self, x: Rat) -> Rat:
         """Constant density on the slice immediately right of x."""
@@ -202,9 +266,10 @@ def total(d: Density) -> Rat:
 
 def value(d: Density, iv: Interval) -> Rat:
     """Exact integral of the step density over the interval."""
-    if _outside(d.grid, iv.hi):
+    v = d._between(iv.lo, iv.hi)
+    if v is None:
         raise CakeError(f"interval {iv} outside cake")
-    return d.prefix_at(iv.hi) - d.prefix_at(iv.lo)
+    return v
 
 
 def merge_components(piece: Iterable[Interval]) -> list[Interval]:
@@ -236,15 +301,19 @@ def value_piece(d: Density, piece: Iterable[Interval], mode: str) -> Rat:
     raise CakeError(f"unknown utility mode {mode!r}")
 
 
-def _goal_point(d: Density, k: int, q: int, r: int, den: int) -> Rat:
-    """The point of slice k at which the prefix value reaches the goal
-    g = num/den, given q, r = divmod(num * K, den) with P[k] < g * K <
-    P[k + 1] (so the slice's density is positive)."""
-    s, b = d.grid.scaled
-    _, p, rate = d.scaled
-    # x = B[k] / S + (g * K - P[k]) / (R[k] * S), and g * K = q + r / den
-    return Fraction((b[k] * rate[k] + q - p[k]) * den + r,
-                    rate[k] * s * den)
+def _mark_goal(d: Density, x: Rat, target: Rat, what: str, sign: int):
+    """Check a mark query at x and form its goal value[0, x] + sign *
+    target in the kernel's units: (x, target numerator, g, den) with goal =
+    g / (K * den)."""
+    x, target = _rat(x), _rat(target)
+    tn, td = target.numerator, target.denominator
+    if tn < 0:
+        raise CakeError("target must be nonnegative")
+    xd = x.denominator
+    at = d._prefix(x.numerator, xd)
+    if at is None:
+        raise CakeError(f"{what} {x} outside cake")
+    return x, tn, at[1] * td + sign * tn * d.scaled[0] * xd, xd * td
 
 
 def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
@@ -252,31 +321,15 @@ def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
 
     Left-continuous in the target: when the target exactly exhausts a
     positive run, the mark is the run's right end, before any zero stretch.
+    The first point at which the prefix value reaches value[0, start] +
+    target, from one prefix evaluation and one goal locate.
     """
-    start, target = _rat(start), _rat(target)
-    tn, td = target.numerator, target.denominator
-    if tn < 0:
-        raise CakeError("target must be nonnegative")
-    if _outside(d.grid, start):
-        raise CakeError(f"start {start} outside cake")
+    start, tn, g, den = _mark_goal(d, start, target, "start", 1)
     if tn == 0:
         return start
-    base = d.prefix_at(start)
-    # goal = base + target = num / den, not reduced
-    den = base.denominator * td
-    num = base.numerator * td + tn * base.denominator
-    m, p, _ = d.scaled
-    if num * m > p[-1] * den:
+    if g > d.scaled[1][-1] * den:
         return None
-    # the goal exceeds the value at start, so the mark lies beyond start
-    k, q, r = _locate(p, m, num, den)
-    if r or p[k] != q:
-        return _goal_point(d, k, q, r, den)
-    # the goal sits on a breakpoint value; back up to the first breakpoint
-    # achieving it
-    while k > 0 and p[k - 1] == q:
-        k -= 1
-    return d.grid.breakpoints[k]
+    return d._goal(g, den, False)[1]
 
 
 def rightmost_mark(d: Density, target: Rat) -> Optional[Rat]:
@@ -287,48 +340,28 @@ def rightmost_mark(d: Density, target: Rat) -> Optional[Rat]:
 def maximal_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     """Maximum y >= start with value [start, y] == target, or None.
 
-    Extends the leftmost mark through any zero-density stretch that follows.
+    The leftmost mark extended through any zero-density stretch that
+    follows it: the last point at which the prefix value reaches
+    value[0, start] + target, located directly.
     """
-    y = leftmost_mark(d, start, target)
-    if y is None:
+    _, _, g, den = _mark_goal(d, start, target, "start", 1)
+    if g > d.scaled[1][-1] * den:
         return None
-    s, b = d.grid.scaled
-    rate = d.scaled[2]
-    j, q, _ = _locate(b, s, y.numerator, y.denominator)
-    k = j
-    while q < b[-1] and rate[k] == 0:  # y < c, zero density right of it
-        k += 1
-        q = b[k]
-    return y if k == j else d.grid.breakpoints[k]
+    return d._goal(g, den, True)[1]
 
 
 def suffix_mark(d: Density, end: Rat, target: Rat) -> Optional[Rat]:
-    """Maximum x <= end with value [x, end] == target, or None."""
-    end, target = _rat(end), _rat(target)
-    tn, td = target.numerator, target.denominator
-    if tn < 0:
-        raise CakeError("target must be nonnegative")
-    if _outside(d.grid, end):
-        raise CakeError(f"end {end} outside cake")
-    base = d.prefix_at(end)
+    """Maximum x <= end with value [x, end] == target, or None: the last
+    point at which the prefix value reaches value[0, end] - target."""
+    end, tn, g, den = _mark_goal(d, end, target, "end", -1)
     if tn == 0:
         # the last point with the value at end is end itself or lies
         # beyond it
         return end
-    # goal = base - target = num / den, not reduced; it is below the value
-    # at end, so the mark lies before end
-    den = base.denominator * td
-    num = base.numerator * td - tn * base.denominator
-    if num < 0:
+    if g < 0:
         return None
-    m, p, _ = d.scaled
-    k, q, r = _locate(p, m, num, den)
-    if r or p[k] != q:
-        return _goal_point(d, k, q, r, den)
-    # advance to the last breakpoint still achieving the goal value
-    while k + 1 < len(p) and p[k + 1] == q:
-        k += 1
-    return d.grid.breakpoints[k]
+    # the goal is below the value at end, so the mark lies before end
+    return d._goal(g, den, True)[1]
 
 
 @dataclass(frozen=True)

@@ -119,10 +119,9 @@ def _cmd_check(args) -> int:
     if mode != CONNECTED and {"wpo", "po"} & set(props):
         raise CakeError("wpo and po are checked over connected partitions "
                         "only; use --utility-mode connected")
-    # one valuation of x for the checks that read its utilities; like each
-    # check, it validates x before any verdict is printed
-    u = (utilities(p, x, mode) if {"prop", "ef", "equitable"} & set(props)
-         else None)
+    # one valuation of x, read by every check; like each check, it
+    # validates x before any verdict is printed
+    u = utilities(p, x, mode)
     failed = False
     for name in props:
         if name == "prop":
@@ -135,7 +134,7 @@ def _cmd_check(args) -> int:
                       f" v_max={_fmt(stats.v_max, args.decimal)}")
         else:
             result = (check_wpo_connected if name == "wpo"
-                      else check_po_connected)(p, x)
+                      else check_po_connected)(p, x, u)
             ok = result.ok
             detail = ""
             if not ok:

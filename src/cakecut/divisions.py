@@ -24,7 +24,6 @@ from .cake_measure import (
     Rat,
     format_rat,
     leftmost_mark,
-    maximal_mark,
     merge_components,
     parse_list,
     parse_name,
@@ -332,13 +331,17 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     a floor as start to skip orderings that cannot reach it.
 
     Exact event sweep over the chain of maximal marks: between events every
-    cut position is an affine function of theta.  The events are a cut
-    crossing a grid breakpoint, a clamped target turning positive, and the
-    last agent's exhaustion: the value it has left over its target, left =
-    avail - tval, is affine between the other events and falls at rate
-    beta_n + d_n(pos) * slope > 0, so its root is the last agent's only
-    event (its own mark is never taken).  The supremum is attained (feasibility is a
-    closed condition), including at points where a cut jumps across a
+    cut position is an affine function of theta.  Each agent's step is one
+    call of the measure kernel (Density._sweep_step: one grid locate and
+    one goal locate), which returns the value the agent has left over its
+    target, its maximal mark y, the densities right of its start and of y,
+    and the next breakpoint beyond y.  The events are a cut crossing a grid
+    breakpoint, a clamped target turning positive, and the last agent's
+    exhaustion: the value it has left over its target, left = avail - tval,
+    is affine between the other events and falls at rate beta_n + d_n(pos)
+    * slope > 0, so its root is the last agent's only event (its own mark
+    is never used).  The supremum is attained (feasibility is a closed
+    condition), including at points where a cut jumps across a
     zero-density stretch.
 
     The chain certifies each step.  When every unclamped agent has avail >
@@ -366,16 +369,16 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
                 # target clamped to zero; it unclamps at theta = -a/b
                 events.append(-a / b)
                 continue
-            left = total(d) - d.prefix_at(pos) - tval
+            left, y, right_of_pos, right_of_y, beyond = d._sweep_step(pos,
+                                                                      tval)
             if left <= 0:
                 break  # stuck: the chain does not certify theta
-            push = b + d.density_right_of(pos) * slope
+            push = b + right_of_pos * slope
             if i == last:
                 events.append(theta + left / push)
                 continue
-            y = maximal_mark(d, pos, tval)
-            slope = push / d.density_right_of(y)
-            events.append(theta + (d.grid.next_breakpoint(y) - y) / slope)
+            slope = push / right_of_y
+            events.append(theta + (beyond - y) / slope)
             pos = y
         else:
             theta = min(events)  # every event lies beyond theta
@@ -422,7 +425,8 @@ class EfficiencyResult:
         return self.ok
 
 
-def check_wpo_connected(p: Problem, x: Division) -> EfficiencyResult:
+def check_wpo_connected(p: Problem, x: Division,
+                        u: Optional[UtilityVector] = None) -> EfficiencyResult:
     """False iff some connected partition is strictly better for every agent.
 
     Complete over connected partitions: reports the lexicographically first
@@ -430,9 +434,10 @@ def check_wpo_connected(p: Problem, x: Division) -> EfficiencyResult:
     half its maximal slack.  Only the orderings that fit the base utilities
     (slack delta = 0) can admit positive slack; fitting_orderings lists
     them, pruning every ordering whose prefix already fails, and each is
-    swept from delta = 0 to the same delta as max_slack.
+    swept from delta = 0 to the same delta as max_slack.  Like check_prop,
+    it takes x's utilities as u when the caller has them already.
     """
-    base = utilities(p, x, CONNECTED)
+    base = utilities(p, x, CONNECTED) if u is None else u
     for pi in fitting_orderings(p, lambda a: base.absolute[a]):
         delta = sup_uniform_feasible(p, pi, *_slack_line(p, pi, base),
                                      Fraction(0))
@@ -468,7 +473,8 @@ def _chain_end(step: Callable[[str, Rat], Optional[Rat]], start: Rat):
     return end
 
 
-def check_po_connected(p: Problem, x: Division) -> EfficiencyResult:
+def check_po_connected(p: Problem, x: Division,
+                       u: Optional[UtilityVector] = None) -> EfficiencyResult:
     """False iff some connected partition is weakly better for all agents
     and strictly better for at least one (the pivot).
 
@@ -480,14 +486,14 @@ def check_po_connected(p: Problem, x: Division) -> EfficiencyResult:
     prefix and right chains by suffix, and the pivot's value is read from
     their ends; only the first improving pair builds its partition
     (_constrained_partition), so the ordering and witness reported are
-    those of the first improving pair.
+    those of the first improving pair.  x's utilities may be passed as u,
+    as for check_wpo_connected.
     """
-    base = utilities(p, x, CONNECTED)
-    u = base.absolute
-    left = _chain_end(lambda a, pos: leftmost_mark(p.density(a), pos, u[a]),
-                      Fraction(0))
-    right = _chain_end(lambda a, end: suffix_mark(p.density(a), end, u[a]),
-                       p.cake_length)
+    base = (utilities(p, x, CONNECTED) if u is None else u).absolute
+    left = _chain_end(
+        lambda a, pos: leftmost_mark(p.density(a), pos, base[a]), Fraction(0))
+    right = _chain_end(
+        lambda a, end: suffix_mark(p.density(a), end, base[a]), p.cake_length)
     for pi in itertools.permutations(p.agents):
         for j, pivot in enumerate(pi):
             lo = left(pi[:j])
@@ -496,16 +502,16 @@ def check_po_connected(p: Problem, x: Division) -> EfficiencyResult:
             hi = right(pi[:j:-1])
             if hi is None or lo > hi:
                 continue
-            best = value(p.density(pivot), Interval(lo, hi))
-            if best > u[pivot]:
-                targets = {a: u[a] for a in p.agents if a != pivot}
+            best = p.density(pivot)._between(lo, hi)
+            if best > base[pivot]:
+                targets = {a: base[a] for a in p.agents if a != pivot}
                 result = _constrained_partition(p, pi, pivot, targets)
                 if result is None or result[0] != best:
                     raise InvariantError("PO partition must match the "
                                          "memoised chains")
                 witness = result[1]
                 wu = utilities(p, witness, CONNECTED)
-                if not all(wu.absolute[a] >= u[a] for a in p.agents):
+                if not all(wu.absolute[a] >= base[a] for a in p.agents):
                     raise InvariantError("PO witness must weakly improve "
                                          "every agent")
                 return EfficiencyResult(False, pi, witness, wu)

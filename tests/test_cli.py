@@ -304,7 +304,8 @@ class TestCheck:
         assert code == 1
         assert out[0].startswith("wpo: FAIL witness ")
 
-    def test_utilities_computed_once(self, files, capsys, monkeypatch):
+    @pytest.fixture
+    def utilities_calls(self, monkeypatch):
         real = divisions.utilities
         calls = []
 
@@ -314,6 +315,9 @@ class TestCheck:
 
         monkeypatch.setattr(divisions, "utilities", counted)
         monkeypatch.setattr(cli, "utilities", counted)
+        return calls
+
+    def test_utilities_computed_once(self, files, capsys, utilities_calls):
         prob = files("p.json", CC_SMALL)
         div = files("d.json", [{"agent": "A", "intervals": [["0", "3"]]},
                                {"agent": "B", "intervals": [["3", "4"]]}])
@@ -322,7 +326,20 @@ class TestCheck:
                            "--properties", "prop,ef,equitable")
         assert (code, out) == (1, ["prop: FAIL", "ef: FAIL",
                                    "equitable: FAIL v_min=3/8 v_max=3/4"])
-        assert len(calls) == 1
+        assert len(utilities_calls) == 1
+
+    def test_pareto_checks_share_the_one_valuation(self, files, capsys,
+                                                   utilities_calls):
+        # x is PO, so neither Pareto checker values a witness
+        prob = files("p.json", CC_SMALL)
+        div = files("d.json", [{"agent": "A", "intervals": [["0", "3"]]},
+                               {"agent": "B", "intervals": [["3", "4"]]}])
+        code, out, _ = run(capsys, "check", "--problem", prob,
+                           "--division", div,
+                           "--properties", "prop,ef,wpo,po")
+        assert (code, out) == (1, ["prop: FAIL", "ef: FAIL", "wpo: PASS",
+                                   "po: PASS"])
+        assert len(utilities_calls) == 1
 
     @pytest.mark.parametrize("props", ["prop,ef", "ef,equitable", "wpo,prop",
                                        "po"])

@@ -368,6 +368,13 @@ class TestParetoCheckers:
         assert all(wu[a] >= base[a] for a in p.agents)
         assert any(wu[a] > base[a] for a in p.agents)
 
+    @pytest.mark.parametrize("check", [check_wpo_connected,
+                                       check_po_connected])
+    def test_given_utilities_give_the_same_verdict(self, check):
+        p = problem(["A", "B"], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])
+        x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 3)]})
+        assert check(p, x, utilities(p, x)) == check(p, x)
+
     def test_single_agent_full_cake_is_efficient(self):
         p = problem(["A"], [1, 1], [[1, 1]])
         x = Division.of({"A": [iv(0, 2)]})

@@ -1,7 +1,9 @@
 """Source hygiene of the library, checked with the stdlib ast module: no
 unused imports, no bare assert statements (python -O strips them, so
-the library raises its invariant errors explicitly), and no rule names in
-the CLI (the rule registry is the one place that knows a rule)."""
+the library raises its invariant errors explicitly), no rule names in
+the CLI (the rule registry is the one place that knows a rule), and no
+integer-scaled measure data outside cake_measure.py (its kernel is the
+one place that reads it)."""
 
 import ast
 from pathlib import Path
@@ -57,6 +59,41 @@ def string_literals(tree) -> set[str]:
 def test_cli_names_no_rule():
     cli = next(p for p in SOURCES if p.name == "cli.py")
     assert sorted(string_literals(_tree(cli)) & set(RULES)) == []
+
+
+KERNEL_NAMES = {"scaled", "_locate"}
+
+
+def kernel_reads(tree) -> list[str]:
+    """Every attribute, name or import named after the integer
+    representation: scaled or _locate."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in KERNEL_NAMES:
+            found.append(f"{name} (line {getattr(node, 'lineno', '?')})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "cake_measure.py"],
+                         ids=lambda p: p.name)
+def test_integer_measure_stays_in_cake_measure(path):
+    assert kernel_reads(_tree(path)) == []
+
+
+def test_kernel_read_finder_sees_attributes_and_imports():
+    tree = ast.parse("from .cake_measure import _locate\n"
+                     "s, b = d.grid.scaled\nscaled = 1\n")
+    assert kernel_reads(tree) == ["_locate (line 1)", "scaled (line 2)",
+                                  "scaled (line 3)"]
 
 
 def test_string_literal_finder_sees_f_string_parts():

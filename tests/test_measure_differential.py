@@ -20,10 +20,12 @@ import pytest
 from cakecut.cake_measure import (
     CakeError,
     Density,
+    Interval,
     SliceGrid,
     leftmost_mark,
     maximal_mark,
     suffix_mark,
+    value,
 )
 
 # ---------------------------------------------------------------------------
@@ -235,4 +237,148 @@ def test_marks_match_reference(name):
             got, want = _outcome(fn, d, x, t), _outcome(ref, d, x, t)
             if got != want:
                 mismatches.append((d, x, t, got, want))
+    assert not mismatches, mismatches[:5]
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel's composite entries: the sweep step and value
+
+
+def ref_sweep_step(d, pos, target):
+    """The sweep step as the composition the sweep made before the kernel:
+    the value left over the target, then maximal_mark and the three grid
+    lookups only when some value is left."""
+    left = d.prefix[-1] - ref_prefix_at(d, pos) - target
+    if left <= 0:
+        return left, None, None, None, None
+    y = ref_maximal_mark(d, pos, target)
+    return (left, y, ref_density_right_of(d, pos), ref_density_right_of(d, y),
+            ref_next_breakpoint(d, y))
+
+
+def ref_value(d, iv):
+    if iv.hi > d.grid.cake_length:
+        raise CakeError(f"interval {iv} outside cake")
+    return ref_prefix_at(d, iv.hi) - ref_prefix_at(d, iv.lo)
+
+
+def _step_targets(rng, d, x):
+    """Targets from x whose goal value[0, x] + target lands on every
+    plateau value (the value across a zero run) beyond x, exactly at the
+    total (nothing left) and past it, on one other breakpoint value and
+    inside one slice beyond x, plus 0 and a negative target."""
+    base = ref_prefix_at(d, x)
+    whole = d.prefix[-1]
+    above = [v for v in d.prefix if v > base]
+    plateaus = {v for v, w in zip(d.prefix, d.prefix[1:])
+                if v == w and v > base}
+    inside = [(v + w) / 2 for v, w in zip(d.prefix, d.prefix[1:])
+              if v > base and w > v]
+    goals = {*plateaus, whole, rng.choice(above),
+             *rng.sample(inside, min(1, len(inside)))} if above else set()
+    return [F(0), F(-1, 5), whole - base + EPS, *(g - base for g in goals)]
+
+
+@cache
+def step_cases():
+    """(density, pos, target) for every density of the corpus, at every
+    query point (every breakpoint, c among them, and one interior point
+    per slice, zero slices included); outside points take target 0."""
+    rng = random.Random(SEED + 1)
+    cases = []
+    for d, points, _ in corpus():
+        for x in points:
+            if x < 0 or x > d.grid.cake_length:
+                cases.append((d, x, F(0)))
+                continue
+            cases += [(d, x, t) for t in _step_targets(rng, d, x)]
+    return cases
+
+
+def _on_plateau(d, x, t):
+    """The goal value[0, x] + t is the value across a zero run."""
+    return d.prefix.count(d.prefix_at(x) + t) > 1
+
+
+def _step_mismatches():
+    """The sweep step's disagreements with the reference, lazily."""
+    return ((d, x, t, got, want) for d, x, t in step_cases()
+            if (got := _outcome(Density._sweep_step, d, x, t))
+            != (want := _outcome(ref_sweep_step, d, x, t)))
+
+
+def test_step_cases_cover_the_edges():
+    """Read with the library's own lookups, which the tests above hold to
+    the reference."""
+    kinds = set()
+    for d, x, t in step_cases():
+        c = d.grid.cake_length
+        if x < 0 or x > c:
+            kinds.add("outside")
+            continue
+        if t < 0:
+            kinds.add("negative target")
+            continue
+        goal = d.prefix_at(x) + t
+        if x == c:
+            kinds.add("pos at c")
+        if goal == d.prefix[-1]:
+            kinds.add("goal at c")
+        elif goal > d.prefix[-1]:
+            kinds.add("goal past c")
+        elif _on_plateau(d, x, t):
+            kinds.add("goal on a plateau")
+        if x < c and d.density_right_of(x) == 0:
+            kinds.add("pos in a zero run")
+        bps = d.grid.breakpoints
+        if x in bps[1:-1]:
+            k = bps.index(x)
+            if (d.values[k - 1] == 0) != (d.values[k] == 0):
+                kinds.add("pos on a zero-stretch edge")
+    assert kinds == {"outside", "negative target", "pos at c", "goal at c",
+                     "goal past c", "goal on a plateau", "pos in a zero run",
+                     "pos on a zero-stretch edge"}
+
+
+def test_sweep_step_matches_reference():
+    mismatches = list(_step_mismatches())
+    assert not mismatches, mismatches[:5]
+
+
+def test_sweep_step_differential_catches_first_for_last(monkeypatch):
+    """A kernel that takes the first point of a plateau where the sweep
+    step needs the last one fails the differential, on plateau goals
+    only."""
+    goal = Density._goal
+    monkeypatch.setattr(Density, "_goal",
+                        lambda d, g, den, last: goal(d, g, den, False))
+    mismatches = list(_step_mismatches())
+    assert mismatches
+    assert all(_on_plateau(d, x, t) for d, x, t, _, _ in mismatches)
+
+
+@cache
+def value_cases():
+    """Empty intervals at every point, intervals inside one slice, every
+    pair of breakpoints, and one interval reaching past c per density."""
+    rng = random.Random(SEED + 2)
+    cases = []
+    for d, points, _ in corpus():
+        bps = d.grid.breakpoints
+        c = bps[-1]
+        cases += [(d, Interval(x, x)) for x in points if 0 <= x <= c]
+        for lo, hi in zip(bps, bps[1:]):
+            a, b = sorted(rng.sample((F(1, 5), F(1, 3), F(5, 8), F(9, 10)),
+                                     2))
+            cases.append((d, Interval(lo + (hi - lo) * a, lo + (hi - lo) * b)))
+        cases += [(d, Interval(lo, hi)) for i, lo in enumerate(bps)
+                  for hi in bps[i:]]
+        cases.append((d, Interval(c / 2, c + F(1, 3))))
+    return cases
+
+
+def test_value_matches_reference():
+    mismatches = [(d, iv, got, want) for d, iv in value_cases()
+                  if (got := _outcome(value, d, iv))
+                  != (want := _outcome(ref_value, d, iv))]
     assert not mismatches, mismatches[:5]
