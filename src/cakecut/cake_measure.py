@@ -9,6 +9,7 @@ is built as one normalised Fraction.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -439,17 +440,30 @@ def append(p: Problem, extra_lengths: Sequence, extra_rows: dict[str, Sequence])
 # the schema (densities cover only the appended slices).
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rat(s) -> Rat:
     """Parse "p/q" or an integer string/number into an exact rational.
 
-    JSON floats (and booleans, which are ints in Python) are refused: a
-    float such as 1.1 is not the rational it was written as.
+    A string must be an optional sign, ASCII digits and an optional
+    "/digits".  Other strings Fraction would take (spaces, decimals,
+    exponents, underscores) are refused; an exponent would make it build
+    the power in full.  JSON floats (and booleans, which are ints in
+    Python) are refused: a float such as 1.1 is not the rational it was
+    written as.
     """
     if isinstance(s, (float, bool)):
         raise CakeError(f"bad rational {s!r}: write it as a \"p/q\" string")
-    try:
+    if isinstance(s, int):
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise CakeError(f"bad rational {s!r}")
+    num, den = m.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as e:
         raise CakeError(f"bad rational {s!r}") from e
 
 

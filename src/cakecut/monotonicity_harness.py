@@ -135,6 +135,7 @@ def _exists_verdict(axiom, direction, agents, base, other, sign) -> Monotonicity
     def dominates(u_other, u_base):
         return all(sign * (u_other[a] - u_base[a]) >= 0 for a in agents)
 
+    first = None
     for xb, ub in base:
         match = next(((xo, uo) for xo, uo in other if dominates(uo, ub)), None)
         if match is None:
@@ -143,8 +144,8 @@ def _exists_verdict(axiom, direction, agents, base, other, sign) -> Monotonicity
                          key=lambda t: min(sign * (t[1][a] - ub[a]) for a in agents))
             return MonotonicityVerdict(axiom, direction, False, agents,
                                        dict(ub), dict(uo), (xb, xo))
-    xb, ub = base[0]
-    xo, uo = next((xo, uo) for xo, uo in other if dominates(uo, ub))
+        first = first or (xb, ub, *match)
+    xb, ub, xo, uo = first
     return MonotonicityVerdict(axiom, direction, True, agents, dict(ub),
                                dict(uo), (xb, xo))
 

@@ -1,6 +1,7 @@
 """Monotone division rules: exact-proportional, relative- and
-absolute-equitable (moving-knife simulation cross-checked by a parametric
-oracle), and the rightmost-mark rule for two agents.
+absolute-equitable (the parametric sweep finds each ordering's value; the
+moving knife's final slides build the division there and certify that
+value), and the rightmost-mark rule for two agents.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .cake_measure import (
     InvariantError,
     Problem,
     Rat,
-    maximal_mark,
     rightmost_mark,
     total,
     value,
@@ -26,7 +26,7 @@ from .divisions import (
     Division,
     division_from_cuts,
     fitting_orderings,
-    mark_chain,
+    greedy_fit,
     sup_uniform_feasible,
 )
 from .rules_classic import lowest_mark_rounds
@@ -111,87 +111,73 @@ def rightmost_mark_rule(p: Problem) -> Division:
 
 
 def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
-                           floor: Rat = Fraction(0)) -> EquitableResult:
-    """Exact event-driven simulation of the two-phase moving-knife.
+                           v: Optional[Rat] = None) -> EquitableResult:
+    """Exact event-driven end state of the two-phase moving knife at the
+    ordering's equitable value v.
 
     One knife per agent plus a value screen t.  In phase 1 all knives move
     so that agent i's piece [x_{i-1}, x_i] stays worth exactly t * scale_i.
     Whenever some knife sits at the left edge of a stretch where its own
     agent's density is zero, the rightmost such knife slides freely through
     the stretch while knives to its right keep their piece values constant
-    (phase 2).  Stops when the last knife reaches the end of the cake.
+    (phase 2).  Stops when the last knife reaches the end of the cake, at
+    t = v.
 
-    The simulation starts at the proportional floor L (see
-    _proportional_floor) from the chain of sequential maximal marks worth
-    L * scale_i, or at t = 0 with every knife at 0 when that chain does not
-    exist or its last cut is at the end of the cake.  Both give the same
-    result, for three reasons.  (1) Once the phase-2 slides at a screen
-    value t are done, no knife sits at the left edge of its own zero
-    stretch, so each knife is at the maximal mark of its own piece: the
-    knives form the maximal chain at t, whatever came before.  (2) The loop
-    reads nothing but (x, t), and inside a phase-1 segment the knives move
-    affinely in t, so from any state of the t = 0 run the loop follows that
-    run to the same next event.  (3) A maximal chain at L whose last cut is
-    before the end of the cake lies, knife by knife, at or right of the
-    maximal chain at every t < L (marks are monotone in start and target),
-    so the t = 0 run has not stopped before L: it passes through t = L, in
-    exactly the state the floor start begins from.  When that chain ends at
-    the end of the cake, the ordering is worth exactly L and the t = 0 run
-    may stop at L before its slides are done, with some cut left of the
-    chain; hence the fallback.
-
-    A caller that knows a lower bound on this ordering's value passes it as
-    floor, and the simulation starts at max(L, floor) instead of L.  By
-    (3), any start in [L, v) gives the same result.  A start at or above v
-    falls back to t = 0, exactly as L = v does: above v no maximal chain
-    exists (the minimal chain would fit there), and at v it ends at the end
-    of the cake (a last mark before it has cake of positive value to its
-    right, so the chain would still fit a little above v).
+    v is the ordering's value from the sweep (equitable_value_oracle when
+    the caller does not pass it).  Once the slides at a screen value are
+    done, the knives form the chain of maximal marks at that value, and a
+    maximal mark whose target rises to g tends to the first point worth g,
+    so the knife run from t = 0 arrives at t = v with the knives on the
+    greedy_fit chain at v * scale_i.  The loop starts there and runs only
+    the phase-2 slides at v.  The slides certify v: greedy_fit fails when v
+    is above the ordering's value, and below it the slides end, with no
+    knife blocked, before the last knife reaches the end of the cake; both,
+    and a negative v, raise InvariantError.
     """
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
         raise CakeError("ordering must be a permutation of the agents")
+    if v is None:
+        v = equitable_value_oracle(p, pi, mode)
+    if v < 0:
+        raise InvariantError(f"value {v} is below the ordering's value")
     scale = _scales(p, mode)
+    x = greedy_fit(p, pi, {a: v * scale[a] for a in pi})
+    if x is None:
+        raise InvariantError(f"value {v} is above the ordering's value")
     dens = [p.density(a) for a in pi]
-    s = [scale[a] for a in pi]
     n = len(pi)
     c = p.cake_length
     grid = p.grid
-    t = max(_proportional_floor(p, scale), floor)
-    x = mark_chain(maximal_mark, dens, (t * sc for sc in s), Fraction(0))
-    if x is None or x[-1] == c:
-        x, t = [Fraction(0)] * n, Fraction(0)
     while x[-1] != c:
-        # phase 2: the rightmost blocked knife r slides at unit speed;
-        # phase 1 (r = -1): the screen pushes every knife at its own scale.
-        # Every knife right of r then keeps its piece worth that push.
+        # the rightmost blocked knife r slides at unit speed; every knife
+        # right of it keeps its piece worth what it was
         blocked = [i for i in range(n)
                    if x[i] < c and dens[i].density_right_of(x[i]) == 0]
-        r = blocked[-1] if blocked else -1
-        v = [Fraction(0)] * n
-        if blocked:
-            v[r] = Fraction(1)
-        for k in range(r + 1, n):
-            back = dens[k].density_right_of(x[k - 1]) * v[k - 1] if k else 0
-            v[k] = ((0 if blocked else s[k]) + back) / dens[k].density_right_of(x[k])
-        step = min((grid.next_breakpoint(xi) - xi) / vi
-                   for xi, vi in zip(x, v) if vi)
         if not blocked:
-            t += step
-        x = [xi + vi * step for xi, vi in zip(x, v)]
-    result = EquitableResult(pi, tuple(x[:-1]), t, mode)
+            raise InvariantError(f"value {v} is below the ordering's value")
+        r = blocked[-1]
+        speed = [Fraction(0)] * n
+        speed[r] = Fraction(1)
+        for k in range(r + 1, n):
+            speed[k] = (dens[k].density_right_of(x[k - 1]) * speed[k - 1]
+                        / dens[k].density_right_of(x[k]))
+        step = min((grid.next_breakpoint(xi) - xi) / si
+                   for xi, si in zip(x, speed) if si)
+        x = [xi + si * step for xi, si in zip(x, speed)]
     lo = Fraction(0)
-    for a, d, sc, hi in zip(pi, dens, s, x):
-        if value(d, Interval(lo, hi)) != t * sc:
-            raise InvariantError(f"piece of {a} is not worth {t} * scale")
+    for a, d, hi in zip(pi, dens, x):
+        if value(d, Interval(lo, hi)) != v * scale[a]:
+            raise InvariantError(f"piece of {a} is not worth {v} * scale")
         lo = hi
-    return result
+    return EquitableResult(pi, tuple(x[:-1]), v, mode)
 
 
 def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
-    """The equitable value for an ordering, computed independently of the
-    simulation as sup{t : sequential minimal prefixes with targets
-    t * scale_i fit in the cake}."""
+    """The equitable value for an ordering: sup{t : sequential minimal
+    prefixes with targets t * scale_i fit in the cake}, by the sweep.
+    equitable_for_ordering builds its division at this value, and its
+    slides certify it."""
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
     return sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], Fraction(0))
@@ -199,9 +185,8 @@ def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
 
 def max_equitable(p: Problem, mode: str) -> RuleOutput:
     """Equitable rule: maximize the common (relative or absolute) value over
-    all agent orderings; returns the simulated divisions of all argmax
-    orderings, in permutation order.  The oracle and the simulation must
-    agree exactly.
+    all agent orderings; returns the moving-knife divisions of all argmax
+    orderings, in permutation order.
 
     The search keeps a floor: the best value so far, or before that the
     proportional bound L (see _proportional_floor).  fitting_orderings walks
@@ -209,35 +194,25 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     taken, and prunes every ordering whose prefix does not fit; the floor
     only rises, so pruning from cuts taken at an earlier floor never drops
     an ordering that reaches the current one.  Each ordering it yields is
-    swept by the oracle from the floor, which returns None for one that no
-    longer reaches it.
-
-    The winners are simulated from prev, the floor before the last rise:
-    every winner is worth best > prev (or prev = best = L when the floor
-    never rose, which falls back to t = 0 as before), so the result equals
-    the simulation from L (see equitable_for_ordering).  The simulation
-    reads nothing of the oracle but that start, and it returns the
-    ordering's own value from any start, so a wrong oracle value still
-    shows as a disagreement.
+    swept from the floor, which returns None for one that no longer reaches
+    it.  Each winner's division is built at the best value, and its slides
+    certify that value (see equitable_for_ordering), so a wrong sweep value
+    raises InvariantError.
     """
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
-    prev = best = _proportional_floor(p, scale)
+    best = _proportional_floor(p, scale)
     winners: list[tuple[str, ...]] = []
     for pi in fitting_orderings(p, lambda a: best * scale[a]):
         v = sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], best)
         if v is None:
             continue
         if v > best or not winners:
-            prev, best, winners = best, v, [pi]
+            best, winners = v, [pi]
         else:  # v == best
             winners.append(pi)
     if not winners:
         raise CakeError("no ordering reaches the proportional bound")
-    divisions = []
-    for pi in winners:
-        sim = equitable_for_ordering(p, pi, mode, floor=prev)
-        if sim.value != best:
-            raise InvariantError("simulation and oracle disagree")
-        divisions.append(sim.division(p))
+    divisions = [equitable_for_ordering(p, pi, mode, best).division(p)
+                 for pi in winners]
     return RuleOutput(divisions, best, winners)

@@ -188,10 +188,13 @@ class TestJsonBoundary:
     def test_exact_inputs_parse(self):
         assert parse_rat("3/6") == F(1, 2)
         assert parse_rat(7) == 7
+        assert [parse_rat(x) for x in ("-3/4", "+2", "007")] == [F(-3, 4), 2, 7]
         p = problem_from_json(self.GOOD)
         assert (p.agents, total(p.density("A"))) == (("A",), 2)
 
-    @pytest.mark.parametrize("x", [1.1, 2.0, True, False])
+    @pytest.mark.parametrize("x", [1.1, 2.0, True, False, " 3 ", "1.5", "2E-2",
+                                   "1_000", "1e3000000", "3/-4", "1/0", "",
+                                   "3\n", "\u0663", None, [1]])
     def test_floats_and_bools_rejected(self, x):
         with pytest.raises(CakeError, match="bad rational"):
             parse_rat(x)

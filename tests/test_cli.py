@@ -494,9 +494,10 @@ class TestMalformedInput:
         (("slices",), "1111", "slices must be a list"),
         (("agents",), {"A": ["1"]}, "agents must be a list"),
         (("agents", 0, "name"), 3, "agent name must be a string"),
+        (("slices", 0, "length"), "1e3000000", "bad rational '1e3000000'"),
     ], ids=["float-length", "float-density", "bool-density",
             "string-densities", "string-slices", "object-agents",
-            "int-name"])
+            "int-name", "exponent-length"])
     def test_bad_problem_exits_2(self, files, capsys, path, new, message):
         prob = files("p.json", _with(CC_SMALL, path, new))
         code, out, err = run(capsys, "divide", "--rule", "cut-and-choose",

@@ -1,23 +1,18 @@
-"""Differential test of equitable_for_ordering's floor start: the library
-starts its moving-knife simulation at the proportional floor L; the
-reference below is the same event loop started at t = 0 with every knife
-at 0.  Both must give an equal EquitableResult for every ordering, not only
-the argmax ones, in both value modes, and so must a start raised to a
-caller's floor."""
+"""Differential test of equitable_for_ordering: the library builds each
+division at the sweep's value v, starting from the greedy_fit chain at v
+and running only the final slides; the reference below is the whole
+moving-knife event loop, started at t = 0 with every knife at 0.  Both
+must give an equal EquitableResult for every ordering, not only the argmax
+ones, in both value modes.  The corpus reaches every kind of final state:
+no slide at v, only the last knife sliding, and an interior knife
+sliding."""
 
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from cakecut.cake_measure import (
-    Interval,
-    leftmost_mark,
-    maximal_mark,
-    problem,
-    total,
-    value,
-)
+from cakecut.cake_measure import Interval, problem, total, value
 from cakecut.divisions import ABSOLUTE, RELATIVE, greedy_fit
 from cakecut.rules_monotone import EquitableResult, equitable_for_ordering
 
@@ -74,46 +69,35 @@ def simulate_from_zero(p, pi, mode):
     return EquitableResult(pi, tuple(x[:-1]), t, mode)
 
 
-def floor_case(p, pi, mode):
-    """How the floor start treats this ordering, worked out here from the
-    marks at the proportional floor L: "below" (the minimal chain at L does
-    not fit: the ordering is worth less than L), "end" (the maximal chain at
-    L is missing or ends at c), "zero-edge" (started at L, where some
-    minimal mark sits on the left edge of a zero stretch, so its maximal
-    mark lies beyond it) or "floor" (started at L otherwise)."""
+def final_case(p, pi, mode):
+    """What the slides at the ordering's value v do, worked out here from
+    the reference run and the greedy_fit chain at v: "none" (the chain
+    ends at c), "last" (only the last knife slides) or "interior" (an
+    interior knife slides, so some cut moves off the chain)."""
+    ref = simulate_from_zero(p, pi, mode)
     scale = scales(p, mode)
-    targets = {a: proportional_bound(p, mode) * scale[a] for a in pi}
-    if greedy_fit(p, pi, targets) is None:
-        return "below"
-    pos = F(0)
-    edge = False
-    for a in pi:
-        d = p.density(a)
-        y = maximal_mark(d, pos, targets[a])
-        if y is None:
-            return "end"
-        edge |= y != leftmost_mark(d, pos, targets[a])
-        pos = y
-    if pos == p.cake_length:
-        return "end"
-    return "zero-edge" if edge else "floor"
+    chain = greedy_fit(p, pi, {a: ref.value * scale[a] for a in pi})
+    if chain[-1] == p.cake_length:
+        return "none"
+    return "last" if chain[:-1] == ref.cuts else "interior"
 
 
 def identical_uniform():
-    # every ordering is worth exactly L, the maximal chain at L ends at c
+    # every ordering is worth exactly L, and its chain at L ends at c
     return problem(["A", "B", "C"], [1, 1, 1], [[1, 1, 1]] * 3)
 
 
 def zero_edge():
-    # in the ordering (A, B), A's minimal mark at L is 1, the left edge of
-    # A's zero slice [1, 2], in both modes; B's piece then ends before c
+    # in the ordering (A, B) the run from t = 0 slides A's knife through
+    # A's zero slice [1, 2] on its way up, in both modes; at v the chain
+    # has passed it and ends at c, so no slide is left
     return problem(["A", "B"], [1] * 5, [[2, 0, 1, 1, 0], [1, 1, 1, 1, 1]])
 
 
 def blocked_at_end():
-    # at L (targets 1 in both modes) both knives of (A, B) sit on the left
-    # edges of their zero slices; the t = 0 run slides B's knife to c and
-    # stops with A's cut at 1, while the maximal chain at L (2, 4) ends at c
+    # at v (targets 1 in both modes) both knives of (A, B) sit on the left
+    # edges of their zero slices; only B's knife, the rightmost, slides, to
+    # c, and A's cut stays at 1
     return problem(["A", "B"], [1] * 4, [[1, 0, 1, 0], [1, 0, 1, 0]])
 
 
@@ -134,36 +118,20 @@ def test_floor_start_matches_start_at_zero(index, mode):
             simulate_from_zero(p, pi, mode)
 
 
-def test_problems_reach_every_floor_case():
-    seen = {floor_case(p, pi, mode) for p in problems() for mode in MODES
+def test_problems_reach_every_final_case():
+    seen = {final_case(p, pi, mode) for p in problems() for mode in MODES
             for pi in permutations(p.agents)}
-    assert seen == {"below", "end", "zero-edge", "floor"}
+    assert seen == {"none", "last", "interior"}
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_named_cakes_reach_their_cases(mode):
     p = identical_uniform()
     for pi in permutations(p.agents):
-        assert floor_case(p, pi, mode) == "end"
+        assert final_case(p, pi, mode) == "none"
         assert equitable_for_ordering(p, pi, mode).value == \
             proportional_bound(p, mode)
-    assert floor_case(zero_edge(), ("A", "B"), mode) == "zero-edge"
+    assert final_case(zero_edge(), ("A", "B"), mode) == "none"
     p = blocked_at_end()
-    assert floor_case(p, ("A", "B"), mode) == "end"
+    assert final_case(p, ("A", "B"), mode) == "last"
     assert equitable_for_ordering(p, ("A", "B"), mode).cuts == (1,)
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("index", range(len(problems())),
-                         ids=[f"n{p.n}-{i}" for i, p in enumerate(problems())])
-def test_any_floor_gives_the_default_result(index, mode):
-    """A floor below the ordering's value v starts the simulation above L;
-    one at or above v falls back to t = 0.  Neither changes the result."""
-    p = problems()[index]
-    low = proportional_bound(p, mode)
-    for pi in permutations(p.agents):
-        expected = equitable_for_ordering(p, pi, mode)
-        v = expected.value
-        for floor in (low, (low + v) / 2, v, v + 1):
-            assert equitable_for_ordering(p, pi, mode, floor=floor) == \
-                expected, floor

@@ -1,7 +1,7 @@
-"""Monotone rules: exact-proportional, equitable (simulation + oracle),
-and the two-agent rightmost-mark rule."""
+"""Monotone rules: exact-proportional, equitable (the sweep's value and
+the moving knife's slides that certify it), and the two-agent
+rightmost-mark rule."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -33,6 +33,8 @@ from cakecut.rules_monotone import (
     max_equitable,
     rightmost_mark_rule,
 )
+
+from test_pruned_search import corpus
 
 
 def iv(lo, hi):
@@ -194,33 +196,50 @@ class TestMaxEquitable:
 
 
 class TestSelfChecks:
-    def test_simulation_oracle_disagreement_raises(self, monkeypatch):
-        real = rules_monotone.equitable_for_ordering
+    """The slides certify the sweep's value: a skewed value reaching
+    max_equitable raises InvariantError, in process and under python -O."""
 
-        def skewed(p, pi, mode, **kw):
-            sim = real(p, pi, mode, **kw)
-            return dataclasses.replace(sim, value=sim.value + 1)
+    def test_skewed_sweep_value_raises(self, monkeypatch):
+        real = rules_monotone.sup_uniform_feasible
+        for skew, match in ((F(1, 10**6), "above the ordering's value"),
+                            (-F(1, 10**6), "below the ordering's value")):
 
-        monkeypatch.setattr(rules_monotone, "equitable_for_ordering", skewed)
-        with pytest.raises(InvariantError,
-                           match="simulation and oracle disagree"):
-            max_equitable(halves_pair(), RELATIVE)
+            def skewed(*args):
+                v = real(*args)
+                return None if v is None else v + skew
 
-    def test_disagreement_raises_under_python_O(self):
+            monkeypatch.setattr(rules_monotone, "sup_uniform_feasible",
+                                skewed)
+            with pytest.raises(InvariantError, match=match):
+                max_equitable(halves_pair(), RELATIVE)
+
+    def test_skewed_value_raises_under_python_O(self):
         code = (
-            "import dataclasses\n"
+            "from fractions import Fraction\n"
             "from cakecut import rules_monotone as rm\n"
             "from cakecut.cake_measure import InvariantError, problem\n"
-            "real = rm.equitable_for_ordering\n"
-            "rm.equitable_for_ordering = lambda p, pi, mode, **kw: "
-            "dataclasses.replace(real(p, pi, mode, **kw), value=0)\n"
+            "real = rm.sup_uniform_feasible\n"
             "p = problem(['A', 'B'], [1, 1], [[1, 1], [1, 3]])\n"
-            "try:\n"
-            "    rm.max_equitable(p, 'relative')\n"
-            "except InvariantError as e:\n"
-            "    print(e)\n"
+            "for skew in (Fraction(1, 10**6), -Fraction(1, 10**6)):\n"
+            "    rm.sup_uniform_feasible = lambda *a: real(*a) + skew\n"
+            "    try:\n"
+            "        rm.max_equitable(p, 'relative')\n"
+            "    except InvariantError as e:\n"
+            "        print(e)\n"
         )
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, check=True,
                              env={"PYTHONPATH": os.pathsep.join(sys.path)})
-        assert out.stdout == "simulation and oracle disagree\n"
+        assert out.stdout == (
+            "value 600001/1000000 is above the ordering's value\n"
+            "value 599999/1000000 is below the ordering's value\n")
+
+    @pytest.mark.parametrize("mode", [RELATIVE, ABSOLUTE])
+    def test_value_off_by_a_millionth_raises(self, mode):
+        for p in corpus():
+            for pi in permutations(p.agents):
+                v = equitable_for_ordering(p, pi, mode).value
+                for off, side in ((F(1, 10**6), "above"),
+                                  (-F(1, 10**6), "below")):
+                    with pytest.raises(InvariantError, match=side):
+                        equitable_for_ordering(p, pi, mode, v + off)
