@@ -5,14 +5,21 @@ moving-knife event loop, started at t = 0 with every knife at 0.  Both
 must give an equal EquitableResult for every ordering, not only the argmax
 ones, in both value modes.  The corpus reaches every kind of final state:
 no slide at v, only the last knife sliding, and an interior knife
-sliding."""
+sliding.  A value passed by the caller gives the default result when it
+is the ordering's value and raises InvariantError otherwise."""
 
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from cakecut.cake_measure import Interval, problem, total, value
+from cakecut.cake_measure import (
+    Interval,
+    InvariantError,
+    problem,
+    total,
+    value,
+)
 from cakecut.divisions import ABSOLUTE, RELATIVE, greedy_fit
 from cakecut.rules_monotone import EquitableResult, equitable_for_ordering
 
@@ -135,3 +142,25 @@ def test_named_cakes_reach_their_cases(mode):
     p = blocked_at_end()
     assert final_case(p, ("A", "B"), mode) == "last"
     assert equitable_for_ordering(p, ("A", "B"), mode).cuts == (1,)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("index", range(len(problems())),
+                         ids=[f"n{p.n}-{i}" for i, p in enumerate(problems())])
+def test_any_floor_gives_the_default_result(index, mode):
+    """The values a caller's floor used to take (the proportional bound L,
+    halfway from L to v, v itself, v + 1), passed now as the ordering's
+    value: v gives the default result, and any other raises InvariantError
+    on the side it misses v."""
+    p = problems()[index]
+    low = proportional_bound(p, mode)
+    for pi in permutations(p.agents):
+        expected = equitable_for_ordering(p, pi, mode)
+        v = expected.value
+        for guess in (low, (low + v) / 2, v, v + 1):
+            if guess == v:
+                assert equitable_for_ordering(p, pi, mode, guess) == expected
+            else:
+                side = "above" if guess > v else "below"
+                with pytest.raises(InvariantError, match=side):
+                    equitable_for_ordering(p, pi, mode, guess)
