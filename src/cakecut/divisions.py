@@ -3,10 +3,11 @@
 Implements proportionality, envy-freeness, equitability, weak Pareto
 optimality, Pareto optimality (over connected partitions), the Nash
 product, and essential single-valuedness, all in exact rational
-arithmetic.  The efficiency checkers rest on one feasibility primitive:
-sequential marks along an agent ordering (mark_chain; greedy_fit takes
-minimal prefixes) and an exact parametric sweep over a uniform slack
-parameter.
+arithmetic.  The efficiency checkers rest on one feasibility path:
+sequential marks along an agent ordering (greedy_fit takes minimal
+prefixes; _pivot_chains memoises minimal-prefix and minimal-suffix chains
+for Pareto optimality and constrained_max) and an exact parametric sweep
+over a uniform slack parameter (max_slack for weak Pareto optimality).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .cake_measure import (
     parse_rat,
     suffix_mark,
     total,
-    value,
     value_piece,
 )
 
@@ -283,35 +283,49 @@ def division_from_cuts(p: Problem, pi: Sequence[str],
     return _consecutive(pi, [*cuts[:len(pi) - 1], p.cake_length])
 
 
+def _chain_end(step: Callable[[str, Rat], Optional[Rat]], start: Rat):
+    """end(chain): the position reached by taking step(a, position) for each
+    agent a of the chain tuple in turn from start, or None once a step
+    fails; memoised by chain, so chains with a common head share its steps."""
+    ends = {(): start}
+
+    def end(chain):
+        if chain not in ends:
+            pos = end(chain[:-1])
+            ends[chain] = None if pos is None else step(chain[-1], pos)
+        return ends[chain]
+
+    return end
+
+
+def _pivot_chains(p: Problem, targets: dict[str, Rat]):
+    """(left, right): the _chain_end memos of the minimal-prefix chain from 0
+    (leftmost_mark) and of the minimal-suffix chain from the end of the cake
+    (suffix_mark, its agents listed right to left), each agent a taking a
+    piece worth targets[a].  In ordering pi with pivot pi[j], the agents
+    left of the pivot end at left(pi[:j]) and those right of it begin at
+    right(pi[:j:-1]); the pivot's largest piece lies between the two."""
+    left = _chain_end(
+        lambda a, pos: leftmost_mark(p.density(a), pos, targets[a]),
+        Fraction(0))
+    right = _chain_end(
+        lambda a, end: suffix_mark(p.density(a), end, targets[a]),
+        p.cake_length)
+    return left, right
+
+
 def constrained_max(p: Problem, pi: Sequence[str], pivot: str,
                     targets: dict[str, Rat]) -> Optional[Rat]:
     """Maximum value the pivot can get in a connected pi-partition in which
     every other agent gets at least its target; None if infeasible."""
-    result = _constrained_partition(p, pi, pivot, targets)
-    return None if result is None else result[0]
-
-
-def _constrained_partition(p: Problem, pi: Sequence[str], pivot: str,
-                           targets: dict[str, Rat]):
-    """(pivot value, partition): the agents left of the pivot take minimal
-    prefixes and those right of it minimal suffixes worth their targets;
-    None when the two chains do not fit or cross."""
-    pi = list(pi)
+    pi = tuple(pi)
     j = pi.index(pivot)
-    lefts, rights = pi[:j], pi[:j:-1]
-    left = mark_chain(leftmost_mark, (p.density(a) for a in lefts),
-                      (targets[a] for a in lefts), Fraction(0))
-    if left is None:
+    left, right = _pivot_chains(p, targets)
+    lo = left(pi[:j])
+    hi = None if lo is None else right(pi[:j:-1])
+    if hi is None or lo > hi:
         return None
-    right = mark_chain(suffix_mark, (p.density(a) for a in rights),
-                       (targets[a] for a in rights), p.cake_length)
-    if right is None:
-        return None
-    bounds = left + right[::-1] + [p.cake_length]
-    lo, hi = (left[-1] if left else Fraction(0)), bounds[j]
-    if lo > hi:
-        return None
-    return value(p.density(pivot), Interval(lo, hi)), _consecutive(pi, bounds)
+    return p.density(pivot)._between(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +336,14 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
                          alphas: Sequence[Rat], betas: Sequence[Rat],
                          start: Rat) -> Optional[Rat]:
     """Largest theta such that greedy_fit succeeds with per-agent targets
-    max(0, alpha_i + beta_i * theta), for strictly positive betas; None
-    when start itself is infeasible, so the supremum lies below start.
+    alpha_i + beta_i * theta, for strictly positive betas and targets
+    nonnegative at start (CakeError otherwise); None when start itself is
+    infeasible, so the supremum lies below start.
 
-    Targets never decrease in theta and marks are monotone in their
-    targets, so every theta below a feasible one is feasible, and a sweep
-    from any feasible start ends at the same exact supremum.  Callers pass
-    a floor as start to skip orderings that cannot reach it.
+    Targets increase in theta and marks are monotone in their targets, so
+    every theta below a feasible one is feasible, and a sweep from any
+    feasible start ends at the same exact supremum.  Callers pass a floor
+    as start to skip orderings that cannot reach it.
 
     Exact event sweep over the chain of maximal marks: between events every
     cut position is an affine function of theta.  Each agent's step is one
@@ -336,41 +351,36 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     one goal locate), which returns the value the agent has left over its
     target, its maximal mark y, the densities right of its start and of y,
     and the next breakpoint beyond y.  The events are a cut crossing a grid
-    breakpoint, a clamped target turning positive, and the last agent's
-    exhaustion: the value it has left over its target, left = avail - tval,
-    is affine between the other events and falls at rate beta_n + d_n(pos)
-    * slope > 0, so its root is the last agent's only event (its own mark
-    is never used).  The supremum is attained (feasibility is a closed
-    condition), including at points where a cut jumps across a
-    zero-density stretch.
+    breakpoint and the last agent's exhaustion: the value it has left over
+    its target, left = avail - tval, is affine between the other events and
+    falls at rate beta_n + d_n(pos) * slope > 0, so its root is the last
+    agent's only event (its own mark is never used).  The supremum is
+    attained (feasibility is a closed condition), including at points where
+    a cut jumps across a zero-density stretch.
 
-    The chain certifies each step.  When every unclamped agent has avail >
-    tval, the maximal chain at theta is complete; leftmost marks lie at or
-    before maximal marks and are monotone in their start, so the greedy
-    pass would succeed there too.  The greedy pass runs only where the
-    chain gets stuck, once per sweep: failing at start it returns None,
-    failing after a step it raises InvariantError; otherwise theta is the
-    supremum, since at any larger theta every leftmost mark lies beyond the
-    stuck chain's mark and the stuck agent's strictly larger target no
-    longer fits.
+    The chain certifies each step.  When every agent has avail > tval, the
+    maximal chain at theta is complete; leftmost marks lie at or before
+    maximal marks and are monotone in their start, so the greedy pass would
+    succeed there too.  The greedy pass runs only where the chain gets
+    stuck, once per sweep: failing at start it returns None, failing after
+    a step it raises InvariantError; otherwise theta is the supremum, since
+    at any larger theta every leftmost mark lies beyond the stuck chain's
+    mark and the stuck agent's strictly larger target no longer fits.
     """
     dens = [p.density(a) for a in pi]
     if any(b <= 0 for b in betas):
         raise CakeError("sweep requires strictly positive slopes")
     theta = start = Fraction(start)
+    if any(a + b * start < 0 for a, b in zip(alphas, betas)):
+        raise CakeError("sweep targets must be nonnegative at start")
     last = len(dens) - 1
     while True:
         pos = Fraction(0)
         slope = Fraction(0)
         events: list[Rat] = []
         for i, (d, a, b) in enumerate(zip(dens, alphas, betas)):
-            tval = a + b * theta
-            if tval < 0:
-                # target clamped to zero; it unclamps at theta = -a/b
-                events.append(-a / b)
-                continue
-            left, y, right_of_pos, right_of_y, beyond = d._sweep_step(pos,
-                                                                      tval)
+            left, y, right_of_pos, right_of_y, beyond = d._sweep_step(
+                pos, a + b * theta)
             if left <= 0:
                 break  # stuck: the chain does not certify theta
             push = b + right_of_pos * slope
@@ -383,31 +393,24 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
         else:
             theta = min(events)  # every event lies beyond theta
             continue
-        if _greedy_raw(dens, alphas, betas, theta) is not None:
+        targets = {agent: a + b * theta
+                   for agent, a, b in zip(pi, alphas, betas)}
+        if greedy_fit(p, pi, targets) is not None:
             return theta
         if theta == start:
             return None
         raise InvariantError(f"sweep stepped to infeasible theta {theta}")
 
 
-def _greedy_raw(dens, alphas, betas, theta):
-    return mark_chain(leftmost_mark, dens,
-                      (max(Fraction(0), a + b * theta)
-                       for a, b in zip(alphas, betas)), Fraction(0))
-
-
-def _slack_line(p: Problem, pi: Sequence[str], base: UtilityVector):
-    """Targets u_i + delta * V_i along pi, as (alphas, betas)."""
-    return ([base.absolute[a] for a in pi], [total(p.density(a)) for a in pi])
-
-
-def max_slack(p: Problem, pi: Sequence[str], base: UtilityVector) -> Rat:
-    """Maximum uniform slack delta such that a connected pi-partition gives
-    every agent at least u_i + delta * V_i; negative when even the base
-    utilities are infeasible in this ordering."""
-    alphas, betas = _slack_line(p, pi, base)
-    start = min(-u / v for u, v in zip(alphas, betas))
-    return sup_uniform_feasible(p, pi, alphas, betas, start)
+def max_slack(p: Problem, pi: Sequence[str],
+              base: UtilityVector) -> Optional[Rat]:
+    """Maximum uniform slack delta >= 0 such that a connected pi-partition
+    gives every agent at least u_i + delta * V_i: the sweep of those
+    targets from delta = 0.  None when even the base utilities u_i do not
+    fit in this ordering."""
+    return sup_uniform_feasible(p, pi, [base.absolute[a] for a in pi],
+                                [total(p.density(a)) for a in pi],
+                                Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +436,17 @@ def check_wpo_connected(p: Problem, x: Division,
     ordering that admits positive uniform slack, with a verified witness at
     half its maximal slack.  Only the orderings that fit the base utilities
     (slack delta = 0) can admit positive slack; fitting_orderings lists
-    them, pruning every ordering whose prefix already fails, and each is
-    swept from delta = 0 to the same delta as max_slack.  Like check_prop,
-    it takes x's utilities as u when the caller has them already.
+    them, pruning every ordering whose prefix already fails, and max_slack
+    sweeps each from delta = 0.  Like check_prop, it takes x's utilities
+    as u when the caller has them already.
     """
     base = utilities(p, x, CONNECTED) if u is None else u
     for pi in fitting_orderings(p, lambda a: base.absolute[a]):
-        delta = sup_uniform_feasible(p, pi, *_slack_line(p, pi, base),
-                                     Fraction(0))
-        if delta is not None and delta > 0:
+        delta = max_slack(p, pi, base)
+        if delta is None:
+            raise InvariantError("an ordering that fits the base utilities "
+                                 "must fit at slack 0")
+        if delta > 0:
             targets = {
                 a: base.absolute[a] + delta / 2 * total(p.density(a))
                 for a in p.agents
@@ -458,21 +463,6 @@ def check_wpo_connected(p: Problem, x: Division,
     return EfficiencyResult(True)
 
 
-def _chain_end(step: Callable[[str, Rat], Optional[Rat]], start: Rat):
-    """end(chain): the position reached by taking step(a, position) for each
-    agent a of the chain tuple in turn from start, or None once a step
-    fails; memoised by chain, so chains with a common head share its steps."""
-    ends = {(): start}
-
-    def end(chain):
-        if chain not in ends:
-            pos = end(chain[:-1])
-            ends[chain] = None if pos is None else step(chain[-1], pos)
-        return ends[chain]
-
-    return end
-
-
 def check_po_connected(p: Problem, x: Division,
                        u: Optional[UtilityVector] = None) -> EfficiencyResult:
     """False iff some connected partition is weakly better for all agents
@@ -482,18 +472,17 @@ def check_po_connected(p: Problem, x: Division,
     left of the pivot take sequential minimal prefixes worth their base
     utilities and those right of it sequential minimal suffixes
     (suffix_mark from the end of the cake), which leaves the pivot the
-    largest piece it can get in that ordering.  Left chains are memoised by
-    prefix and right chains by suffix, and the pivot's value is read from
-    their ends; only the first improving pair builds its partition
-    (_constrained_partition), so the ordering and witness reported are
-    those of the first improving pair.  x's utilities may be passed as u,
-    as for check_wpo_connected.
+    largest piece it can get in that ordering.  Both chains come from one
+    memo (_pivot_chains, shared with constrained_max), so left chains are
+    computed once per prefix and right chains once per suffix, and the
+    pivot's value is read from their ends.  Only the first improving pair
+    builds its partition, from the same memo, and the partition is
+    certified: its utilities must give the pivot exactly that value and
+    every agent at least its base utility.  x's utilities may be passed as
+    u, as for check_wpo_connected.
     """
     base = (utilities(p, x, CONNECTED) if u is None else u).absolute
-    left = _chain_end(
-        lambda a, pos: leftmost_mark(p.density(a), pos, base[a]), Fraction(0))
-    right = _chain_end(
-        lambda a, end: suffix_mark(p.density(a), end, base[a]), p.cake_length)
+    left, right = _pivot_chains(p, base)
     for pi in itertools.permutations(p.agents):
         for j, pivot in enumerate(pi):
             lo = left(pi[:j])
@@ -504,15 +493,14 @@ def check_po_connected(p: Problem, x: Division,
                 continue
             best = p.density(pivot)._between(lo, hi)
             if best > base[pivot]:
-                targets = {a: base[a] for a in p.agents if a != pivot}
-                result = _constrained_partition(p, pi, pivot, targets)
-                if result is None or result[0] != best:
-                    raise InvariantError("PO partition must match the "
-                                         "memoised chains")
-                witness = result[1]
+                witness = _consecutive(
+                    pi, [left(pi[:i + 1]) for i in range(j)]
+                    + [right(pi[:i:-1]) for i in range(j, p.n)])
                 wu = utilities(p, witness, CONNECTED)
-                if not all(wu.absolute[a] >= base[a] for a in p.agents):
-                    raise InvariantError("PO witness must weakly improve "
-                                         "every agent")
+                if wu.absolute[pivot] != best or not all(
+                        wu.absolute[a] >= base[a] for a in p.agents):
+                    raise InvariantError("PO witness must give the pivot its "
+                                         "constrained maximum and every "
+                                         "agent its base utility")
                 return EfficiencyResult(False, pi, witness, wu)
     return EfficiencyResult(True)

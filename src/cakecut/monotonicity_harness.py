@@ -150,10 +150,11 @@ def _exists_verdict(axiom, direction, agents, base, other, sign) -> Monotonicity
                                dict(uo), (xb, xo))
 
 
-def check_rm(rule, p: Problem, extra_lengths, extra_rows) -> list[MonotonicityVerdict]:
-    """Resource-monotonicity, both directions, for a right-append enlargement."""
-    if isinstance(rule, str):
-        rule = get_rule(rule)
+def check_rm(name: str, p: Problem, extra_lengths,
+             extra_rows) -> list[MonotonicityVerdict]:
+    """Resource-monotonicity of the registered rule name, both directions,
+    for a right-append enlargement."""
+    rule = get_rule(name)
     big = append(p, extra_lengths, extra_rows)
     small_out = _run_base(rule, p)
     # an empty enlargement returns p itself
@@ -164,10 +165,10 @@ def check_rm(rule, p: Problem, extra_lengths, extra_rows) -> list[MonotonicityVe
     ]
 
 
-def check_pm(rule, p: Problem, leaving: str) -> list[MonotonicityVerdict]:
-    """Population-monotonicity, both directions, for one agent leaving."""
-    if isinstance(rule, str):
-        rule = get_rule(rule)
+def check_pm(name: str, p: Problem, leaving: str) -> list[MonotonicityVerdict]:
+    """Population-monotonicity of the registered rule name, both
+    directions, for one agent leaving."""
+    rule = get_rule(name)
     reduced = remove_agent(p, leaving)
     full_out = _run_base(rule, p)
     red_out = _run(rule, reduced)
@@ -266,8 +267,9 @@ def cake_prefix_greedy() -> Problem:
                    [[2, 0, 0, 0, 0, 4], [2, 3, 1, 1, 5, 0], [2, 3, 1, 1, 5, 0]])
 
 
-def cake_crumbs(eps=Fraction(1, 10)) -> Problem:
-    return problem(["A", "B"], [1] * 4, [[0, 3, 2, 1], [2, 1, 2, 1 + eps]])
+def cake_crumbs() -> Problem:
+    return problem(["A", "B"], [1] * 4,
+                   [[0, 3, 2, 1], [2, 1, 2, Fraction(11, 10)]])
 
 
 def cake_splitter_three() -> Problem:
@@ -400,7 +402,7 @@ def _fx_eq_not_rm() -> list[Claim]:
     after = {utilities(big, x, rule.mode).absolute["B"]
              for x in big_rel.divisions}
     _claim(claims, "eq-not-rm/bob-after", {Fraction(12)}, after)
-    up, _down = check_rm(rule, p, *EQ_DROP_EXTRA)
+    up, _down = check_rm(rule.name, p, *EQ_DROP_EXTRA)
     _claim(claims, "eq-not-rm/relative-verdict", False, up.ok)
     verdicts = check_rm("absolute-equitable", p, *EQ_DROP_EXTRA)
     _claim(claims, "eq-not-rm/absolute-verdict", True,
@@ -523,7 +525,7 @@ def _rm_entry(rule: Rule) -> str:
     pairs = [(cake_two_agent_halves(), CC_EXTRA), (cake_equitable_drop(), EQ_DROP_EXTRA)]
     if rule.arity is None:
         pairs.append((cake_sweep_three(), ([1], {"A": [3], "B": [0], "C": [5]})))
-    ok = all(v.ok for p, extra in pairs for v in check_rm(rule, p, *extra))
+    ok = all(v.ok for p, extra in pairs for v in check_rm(rule.name, p, *extra))
     return "Yes" if ok else "No"
 
 
@@ -532,7 +534,7 @@ def _pm_entry(rule: Rule) -> str:
              (cake_two_agent_halves(), "A")]
     cases = [(p, a) for p, a in cases if rule.arity is None or p.n == rule.arity]
     try:
-        ok = all(v.ok for p, a in cases for v in check_pm(rule, p, a))
+        ok = all(v.ok for p, a in cases for v in check_pm(rule.name, p, a))
     except CakeError:
         # the reduced problem leaves the rule's domain
         return "No"

@@ -13,7 +13,7 @@ run the same lowest-mark round loop, lowest_mark_rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .cake_measure import (
     CakeError,
@@ -81,13 +81,13 @@ def _pick_rightmost_best(d: Density, parts: list[Piece],
     return max(i for i in candidates if vals[i] == best)
 
 
-def cut_and_choose(p: Problem, cutter: Optional[str] = None) -> Division:
-    """The cutter halves the cake at its leftmost half-mark; the chooser
-    takes the weakly preferred piece (tie: the right piece)."""
+def cut_and_choose(p: Problem) -> Division:
+    """The first agent (the cutter) halves the cake at its leftmost
+    half-mark; the chooser takes the weakly preferred piece (tie: the right
+    piece)."""
     if p.n != 2:
         raise CakeError("cut-and-choose requires exactly 2 agents")
-    cutter = cutter or p.agents[0]
-    chooser = next(a for a in p.agents if a != cutter)
+    cutter, chooser = p.agents
     d = p.density(cutter)
     m = leftmost_mark(d, Fraction(0), total(d) / 2)
     left, right = Interval(Fraction(0), m), Interval(m, p.cake_length)
@@ -97,16 +97,15 @@ def cut_and_choose(p: Problem, cutter: Optional[str] = None) -> Division:
     return Division.of({cutter: [left], chooser: [right]})
 
 
-def banach_knaster(p: Problem, order: Optional[Sequence[str]] = None) -> Division:
-    """Last-diminisher: the first remaining agent cuts a prefix worth its
-    proportional share of the remaining cake; later agents trim only when
-    the piece is worth strictly more than their own share; the last trimmer
-    takes the piece."""
-    order = list(order or p.agents)
+def banach_knaster(p: Problem) -> Division:
+    """Last-diminisher, agents in listed order: the first remaining agent
+    cuts a prefix worth its proportional share of the remaining cake; later
+    agents trim only when the piece is worth strictly more than their own
+    share; the last trimmer takes the piece."""
     s = Fraction(0)
     c = p.cake_length
     pieces: dict[str, Piece] = {}
-    remaining = order[:]
+    remaining = list(p.agents)
     while len(remaining) > 1:
         m = len(remaining)
         holder = remaining[0]
@@ -188,10 +187,11 @@ def even_paz(p: Problem) -> Division:
     return Division.of(pieces)
 
 
-def fink(p: Problem, order: Optional[Sequence[str]] = None) -> Division:
-    """Agents join one by one; each newcomer takes its additively-best part
-    (tie: rightmost) of a (k+1)-way equal split of every incumbent's piece."""
-    order = list(order or p.agents)
+def fink(p: Problem) -> Division:
+    """Agents join one by one in listed order; each newcomer takes its
+    additively-best part (tie: rightmost) of a (k+1)-way equal split of
+    every incumbent's piece."""
+    order = p.agents
     pieces: dict[str, Piece] = {}
     for j, newcomer in enumerate(order):
         if j == 0:

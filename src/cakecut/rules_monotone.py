@@ -42,7 +42,7 @@ class EquitableResult:
     mode: str
 
     def division(self, p: Problem) -> Division:
-        return division_from_cuts(p, self.ordering, self.cuts + (p.cake_length,))
+        return division_from_cuts(p, self.ordering, self.cuts)
 
     def output(self, p: Problem) -> RuleOutput:
         return RuleOutput([self.division(p)], self.value)

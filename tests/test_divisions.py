@@ -241,7 +241,7 @@ class TestSweep:
         x = Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})
         base = utilities(p, x)  # (6, 8): B's 8 needs the whole suffix
         # ordering (B, A) cannot even reproduce the base utilities
-        assert max_slack(p, ("B", "A"), base) < 0
+        assert max_slack(p, ("B", "A"), base) is None
 
     def test_max_slack_monotone_in_base(self):
         p = nash_cake()
@@ -273,6 +273,19 @@ class TestSweep:
             sup_uniform_feasible(p, ("A", "B"), [F(0), F(0)], [F(1), F(0)],
                                  F(0))
 
+    def test_rejects_negative_target_at_start(self):
+        # B's target -1 + 2 * theta is negative at 0 and at 1/4; it is 0 at
+        # 1/2, where the sweep may start
+        p = forced_pair()
+        for start in (F(0), F(1, 4)):
+            with pytest.raises(CakeError,
+                               match="^sweep targets must be nonnegative "
+                                     "at start$"):
+                sup_uniform_feasible(p, ("A", "B"), [F(0), F(-1)],
+                                     [F(1), F(2)], start)
+        assert sup_uniform_feasible(p, ("A", "B"), [F(0), F(-1)],
+                                    [F(1), F(2)], F(1, 2)) is not None
+
 
 def jump_cake():
     # the cake of TestSweep's feasibility jump: supremum 1/2 from 0
@@ -288,13 +301,13 @@ class TestSweepSelfCheck:
     LINE = (("A", "B"), [F(0), F(0)], [F(2), F(1)])
 
     def test_failing_pass_after_a_step_raises(self, monkeypatch):
-        monkeypatch.setattr(divisions, "_greedy_raw", lambda *args: None)
+        monkeypatch.setattr(divisions, "greedy_fit", lambda *args: None)
         with pytest.raises(InvariantError,
                            match="^sweep stepped to infeasible theta 1/2$"):
             sup_uniform_feasible(jump_cake(), *self.LINE, F(0))
 
     def test_failing_pass_at_start_gives_none(self, monkeypatch):
-        monkeypatch.setattr(divisions, "_greedy_raw", lambda *args: None)
+        monkeypatch.setattr(divisions, "greedy_fit", lambda *args: None)
         assert sup_uniform_feasible(jump_cake(), *self.LINE, F(1, 2)) is None
 
     def test_self_check_runs_under_python_O(self):
@@ -302,7 +315,7 @@ class TestSweepSelfCheck:
             "from fractions import Fraction as F\n"
             "from cakecut import divisions\n"
             "from cakecut.cake_measure import InvariantError, problem\n"
-            "divisions._greedy_raw = lambda *args: None\n"
+            "divisions.greedy_fit = lambda *args: None\n"
             "p = problem(['A', 'B'], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])\n"
             "line = (p, ('A', 'B'), [F(0), F(0)], [F(2), F(1)])\n"
             "print(divisions.sup_uniform_feasible(*line, F(1, 2)))\n"
@@ -317,19 +330,19 @@ class TestSweepSelfCheck:
         assert out.stdout == "None\nsweep stepped to infeasible theta 1/2\n"
 
     def test_one_greedy_pass_per_sweep(self, monkeypatch):
-        real = divisions._greedy_raw
+        real = divisions.greedy_fit
         passes = []
 
         def counted(*args):
             passes.append(args)
             return real(*args)
 
-        monkeypatch.setattr(divisions, "_greedy_raw", counted)
+        monkeypatch.setattr(divisions, "greedy_fit", counted)
         p = nash_cake()
         sweeps = 0
         for pi in (("A", "B"), ("B", "A")):
             for alphas, start in (([F(0), F(0)], F(0)),
-                                  ([F(-1), F(2)], F(-3)),
+                                  ([F(1), F(2)], F(1, 2)),
                                   ([F(0), F(0)], F(1))):
                 sup_uniform_feasible(p, pi, alphas, [F(1), F(2)], start)
                 sweeps += 1
@@ -374,6 +387,78 @@ class TestParetoCheckers:
         p = problem(["A", "B"], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])
         x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 3)]})
         assert check(p, x, utilities(p, x)) == check(p, x)
+
+    @pytest.mark.parametrize("p, x", [
+        (problem(["A", "B", "C"], [1] * 6,
+                 [[2, 0, 0, 0, 0, 4], [2, 3, 1, 1, 5, 0],
+                  [2, 3, 1, 1, 5, 0]]),
+         Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)], "C": [iv(4, 6)]})),
+        (problem(["A", "B"], [1, 1], [[2, 0], [0, 2]]),
+         Division.of({"A": [iv(0, 1)], "B": [iv(1, 2)]})),
+        (forced_pair(), Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})),
+        (nash_cake(), Division.of({"A": [iv(0, 2)], "B": [iv(2, 6)]})),
+    ], ids=["dominated", "full-value", "forced", "nash"])
+    def test_wpo_sweeps_each_fitting_ordering_by_max_slack(self, monkeypatch,
+                                                           p, x):
+        base = utilities(p, x)
+        fitting = list(divisions.fitting_orderings(
+            p, lambda a: base.absolute[a]))
+        real = divisions.max_slack
+        swept = []
+
+        def counted(p, pi, base):
+            swept.append(pi)
+            return real(p, pi, base)
+
+        monkeypatch.setattr(divisions, "max_slack", counted)
+        result = check_wpo_connected(p, x)
+        stop = len(fitting) if result.ok else fitting.index(result.ordering) + 1
+        assert swept == fitting[:stop]
+
+    def test_wpo_refuses_a_fitting_ordering_without_slack(self, monkeypatch):
+        monkeypatch.setattr(divisions, "max_slack", lambda *args: None)
+        p = forced_pair()
+        x = Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})
+        with pytest.raises(InvariantError, match="must fit at slack 0"):
+            check_wpo_connected(p, x)
+
+    PO_CERTIFICATE = ("^PO witness must give the pivot its constrained "
+                      "maximum and every agent its base utility$")
+
+    def test_po_witness_certificate_fires_on_tampered_chains(self,
+                                                            monkeypatch):
+        # the right chain claims every suffix is free, so pivot A of (A, B)
+        # seems to get the whole cake while B keeps nothing of its 8
+        real = divisions._pivot_chains
+        monkeypatch.setattr(divisions, "_pivot_chains", lambda p, targets: (
+            real(p, targets)[0], lambda chain: p.cake_length))
+        p = forced_pair()
+        x = Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})
+        with pytest.raises(InvariantError, match=self.PO_CERTIFICATE):
+            check_po_connected(p, x)
+
+    def test_po_witness_certificate_runs_under_python_O(self):
+        code = (
+            "from cakecut import divisions\n"
+            "from cakecut.cake_measure import InvariantError, problem\n"
+            "from cakecut.divisions import Division, check_po_connected\n"
+            "from cakecut.cake_measure import Interval\n"
+            "real = divisions._pivot_chains\n"
+            "divisions._pivot_chains = lambda p, t: (\n"
+            "    real(p, t)[0], lambda chain: p.cake_length)\n"
+            "p = problem(['A', 'B'], [1] * 4, [[6, 0, 1, 1], [0, 4, 2, 2]])\n"
+            "x = Division.of({'A': [Interval(0, 1)], 'B': [Interval(1, 4)]})\n"
+            "try:\n"
+            "    check_po_connected(p, x)\n"
+            "except InvariantError as e:\n"
+            "    print(e)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == ("PO witness must give the pivot its "
+                              "constrained maximum and every agent its "
+                              "base utility\n")
 
     def test_single_agent_full_cake_is_efficient(self):
         p = problem(["A"], [1, 1], [[1, 1]])

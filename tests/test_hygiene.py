@@ -1,9 +1,10 @@
 """Source hygiene of the library, checked with the stdlib ast module: no
 unused imports, no bare assert statements (python -O strips them, so
 the library raises its invariant errors explicitly), no rule names in
-the CLI (the rule registry is the one place that knows a rule), and no
+the CLI (the rule registry is the one place that knows a rule), no
 integer-scaled measure data outside cake_measure.py (its kernel is the
-one place that reads it)."""
+one place that reads it), and no private helper that only the tests
+use (a test-only helper belongs in the tests)."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,49 @@ def test_kernel_read_finder_sees_attributes_and_imports():
                      "s, b = d.grid.scaled\nscaled = 1\n")
     assert kernel_reads(tree) == ["_locate (line 1)", "scaled (line 2)",
                                   "scaled (line 3)"]
+
+
+def unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    """Private (one leading underscore) module-level functions and classes
+    that no other top-level statement of any of the trees names, as a
+    name, an attribute or an import."""
+    defined, statements = [], []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defined.append((module, stmt))
+            statements.append(stmt)
+
+    def names(stmt):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    return sorted(f"{module}:{d.name}" for module, d in defined
+                  if not any(d.name in names(stmt) for stmt in statements
+                             if stmt is not d))
+
+
+def test_every_private_helper_has_a_library_caller():
+    assert unreferenced_private({p.name: _tree(p) for p in SOURCES}) == []
+
+
+def test_private_helper_finder_sees_callers_in_other_modules():
+    trees = {
+        "a.py": ast.parse("def _used(): pass\n"
+                          "def _recursive(): return _recursive()\n"
+                          "class _Left: pass\n"
+                          "def __dunder__(): pass\n"),
+        "b.py": ast.parse("from a import _used\n"),
+    }
+    assert unreferenced_private(trees) == ["a.py:_Left", "a.py:_recursive"]
 
 
 def test_string_literal_finder_sees_f_string_parts():

@@ -2,10 +2,11 @@
 enumerators, on a fixed-seed corpus with zero-density stretches.
 
 max_equitable and check_wpo_connected are compared with an enumerator that
-sweeps every ordering in full (equitable_value_oracle and max_slack from
-their own starts), fitting_orderings with a filter of greedy_fit over all
-permutations, and check_po_connected with a per-(ordering, pivot)
-enumerator that builds every constrained partition."""
+sweeps every ordering in full (equitable_value_oracle, and max_slack on
+every permutation), fitting_orderings with a filter of greedy_fit over all
+permutations, and check_po_connected and constrained_max with a
+per-(ordering, pivot) enumerator that builds every constrained partition
+from two mark chains of its own (constrained_partition)."""
 
 import random
 from fractions import Fraction as F
@@ -15,17 +16,25 @@ from math import factorial
 
 import pytest
 
-from cakecut.cake_measure import problem, total
+from cakecut.cake_measure import (
+    Interval,
+    leftmost_mark,
+    problem,
+    suffix_mark,
+    total,
+    value,
+)
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
     CONNECTED,
-    _constrained_partition,
     check_po_connected,
     check_wpo_connected,
+    constrained_max,
     division_from_cuts,
     fitting_orderings,
     greedy_fit,
+    mark_chain,
     max_slack,
     utilities,
 )
@@ -70,12 +79,12 @@ def enumerated_max_equitable(p, mode):
 
 
 def enumerated_wpo(p, x):
-    """(verdict, ordering, witness): the first ordering with positive
+    """(verdict, ordering, witness): the first permutation with positive
     max_slack and the greedy partition at half that slack."""
     base = utilities(p, x)
     for pi in permutations(p.agents):
-        delta = max_slack(p, pi, base)
-        if delta > 0:
+        delta = max_slack(p, pi, base)  # None: the base does not fit
+        if delta is not None and delta > 0:
             targets = {a: base.absolute[a] + delta / 2 * total(p.density(a))
                        for a in p.agents}
             return False, pi, division_from_cuts(p, pi,
@@ -160,6 +169,29 @@ def test_fitting_orderings_match_greedy_fit_filter():
     assert kept and dropped
 
 
+def constrained_partition(p, pi, pivot, targets):
+    """(pivot value, partition): the agents left of the pivot take minimal
+    prefixes and those right of it minimal suffixes worth their targets;
+    None when the two chains do not fit or cross."""
+    pi = list(pi)
+    j = pi.index(pivot)
+    lefts, rights = pi[:j], pi[:j:-1]
+    left = mark_chain(leftmost_mark, (p.density(a) for a in lefts),
+                      (targets[a] for a in lefts), F(0))
+    if left is None:
+        return None
+    right = mark_chain(suffix_mark, (p.density(a) for a in rights),
+                       (targets[a] for a in rights), p.cake_length)
+    if right is None:
+        return None
+    bounds = left + right[::-1] + [p.cake_length]
+    lo, hi = (left[-1] if left else F(0)), bounds[j]
+    if lo > hi:
+        return None
+    return (value(p.density(pivot), Interval(lo, hi)),
+            division_from_cuts(p, pi, bounds))
+
+
 def enumerated_po(p, x):
     """The per-(ordering, pivot) enumerator: build the constrained partition
     of every pair and stop at the first that improves its pivot."""
@@ -167,7 +199,7 @@ def enumerated_po(p, x):
     for pi in permutations(p.agents):
         for pivot in pi:
             targets = {a: base.absolute[a] for a in p.agents if a != pivot}
-            result = _constrained_partition(p, pi, pivot, targets)
+            result = constrained_partition(p, pi, pivot, targets)
             if result is None:
                 continue
             best, witness = result
@@ -206,6 +238,23 @@ def test_check_po_connected_matches_enumerator_on_counterexamples(name, cake):
     p = cake()
     for x in get_rule(name).run(p).divisions:
         assert not assert_po_matches_enumerator(p, x)
+
+
+SMALL_CASES = [i for i in CASES if corpus()[i].n <= 4]
+
+
+@pytest.mark.parametrize("index", SMALL_CASES,
+                         ids=[_ids()[i] for i in SMALL_CASES])
+def test_constrained_max_matches_constrained_partition(index):
+    p = corpus()[index]
+    for x in _po_inputs(p):
+        base = utilities(p, x, CONNECTED).absolute
+        for pi in permutations(p.agents):
+            for pivot in pi:
+                targets = {a: base[a] for a in p.agents if a != pivot}
+                result = constrained_partition(p, pi, pivot, targets)
+                assert constrained_max(p, pi, pivot, targets) == (
+                    None if result is None else result[0]), (pi, pivot)
 
 
 def test_corpus_reaches_both_po_verdicts():

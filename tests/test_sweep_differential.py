@@ -11,12 +11,13 @@ and message, on three sets of lines (alphas, betas, start):
   from 0 and from the ordering's own value;
 - the WPO slack lines (u_i + delta * V_i) of the max_equitable and
   exact_proportional outputs, for every ordering of the corpus's n <= 3
-  cakes, from max_slack's start, where the targets of all agents but
-  those of the largest u_i / V_i are clamped at zero, and from 0 (the
-  n >= 4 lines would double the file's time, and the random lines below
-  reach clamped targets at n = 4);
+  cakes, from max_slack's start delta = 0 (the n >= 4 lines would double
+  the file's time);
 - fixed-seed random lines with n = 1..4, negative alphas and starts past
-  the supremum included.
+  the supremum included, each started where every target is nonnegative.
+
+The oracle still clamps negative targets at zero; the sweep refuses them
+at start (CakeError), so no line here reaches a clamped target.
 """
 
 import random
@@ -36,7 +37,6 @@ from cakecut.cake_measure import (
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
-    _slack_line,
     mark_chain,
     sup_uniform_feasible,
     utilities,
@@ -153,9 +153,9 @@ def slack_lines(p):
               exact_proportional(p)):
         base = utilities(p, x)
         for pi in permutations(p.agents):
-            alphas, betas = _slack_line(p, pi, base)
-            for start in (min(-u / v for u, v in zip(alphas, betas)), F(0)):
-                yield p, pi, alphas, betas, start
+            alphas = [base.absolute[a] for a in pi]
+            betas = [total(p.density(a)) for a in pi]
+            yield p, pi, alphas, betas, F(0)
 
 
 def _rat(rng, lo, hi, den=4):
@@ -164,7 +164,8 @@ def _rat(rng, lo, hi, den=4):
 
 def random_lines(n, count=150):
     """count lines on fixed-seed n-agent cakes: alphas in [-2, 1], betas in
-    (0, 3], starts in [-1, 2], so some starts lie past the supremum."""
+    (0, 3], starts up to 2 past the first theta at which every target is
+    nonnegative, so some starts lie past the supremum."""
     rng = random.Random(7919 * n)
     lines = []
     while len(lines) < count:
@@ -172,7 +173,8 @@ def random_lines(n, count=150):
         for pi in permutations(p.agents):
             alphas = [_rat(rng, -2, 1) for _ in pi]
             betas = [_rat(rng, 0, 3) or F(1, 4) for _ in pi]
-            lines.append((p, pi, alphas, betas, _rat(rng, -1, 2)))
+            lowest = max(-a / b for a, b in zip(alphas, betas))
+            lines.append((p, pi, alphas, betas, lowest + _rat(rng, 0, 2)))
     return lines[:count]
 
 
@@ -219,4 +221,4 @@ def test_lines_reach_every_case():
         seen |= corpus_cases(index, "slack")
     for n in (1, 2, 3, 4):
         seen |= random_cases(n)
-    assert seen == {"none", "clamped", "last-crossing"}
+    assert seen == {"none", "last-crossing"}
