@@ -222,22 +222,23 @@ class Density:
         bottom = self._prefix(lo.numerator, ld)[1]
         return Fraction(top[1] * ld - bottom * hd, self.scaled[0] * ld * hd)
 
-    def _sweep_step(self, pos: Rat, target: Rat):
-        """One agent's step of the parametric sweep, from one grid locate
-        and one goal locate: (left, y, density right of pos, density right
-        of y, the next breakpoint beyond y), where left = value[pos, c] -
-        target and y = maximal_mark(self, pos, target).  When left <= 0 the
-        mark is not taken and the last four are None."""
+    def _sweep_step(self, pos: Rat, tn: int, td: int):
+        """One agent's step of the parametric sweep for the target tn/td
+        (td > 0), from one grid locate and one goal locate: (left, y,
+        density right of pos, density right of y, the next breakpoint beyond
+        y), where left = value[pos, c] - target as an int pair (numerator,
+        positive denominator), not reduced, and y = maximal_mark(self, pos,
+        target).  When left <= 0 the mark is not taken and the last four
+        are None."""
         pd = pos.denominator
         at = self._prefix(pos.numerator, pd)
         if at is None:
             raise CakeError(f"point {pos} outside cake")
-        tn, td = target.numerator, target.denominator
         m, p, _ = self.scaled
         den = pd * td
         g = at[1] * td + tn * m * pd  # the goal value[0, pos] + target
         rest = p[-1] * den - g
-        left = Fraction(rest, m * den)
+        left = rest, m * den
         if rest <= 0:
             return left, None, None, None, None
         if tn < 0:

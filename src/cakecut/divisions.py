@@ -4,10 +4,13 @@ Implements proportionality, envy-freeness, equitability, weak Pareto
 optimality, Pareto optimality (over connected partitions), the Nash
 product, and essential single-valuedness, all in exact rational
 arithmetic.  The efficiency checkers rest on one feasibility path:
-sequential marks along an agent ordering (greedy_fit takes minimal
-prefixes; _pivot_chains memoises minimal-prefix and minimal-suffix chains
-for Pareto optimality and constrained_max) and an exact parametric sweep
-over a uniform slack parameter (max_slack for weak Pareto optimality).
+sequential marks along an agent ordering (greedy_fit is the one loop of
+minimal prefixes from 0, the sweep's certifying pass; fitting_orderings
+walks the same chains over shared ordering prefixes; _pivot_chains
+memoises minimal-prefix and minimal-suffix chains for Pareto optimality
+and constrained_max) and an exact parametric sweep over a uniform slack
+parameter, its body in integer arithmetic (max_slack for weak Pareto
+optimality).
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import gcd
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cake_measure import (
     CakeError,
@@ -204,41 +208,30 @@ def check_esv(p: Problem, divisions: Sequence[Division],
 # Connected-partition feasibility primitives
 
 
-def mark_chain(mark: Callable, dens: Iterable, targets: Iterable[Rat],
-               pos: Rat) -> Optional[list[Rat]]:
-    """Sequential marks: each density in turn takes mark(d, pos, t) from the
-    previous mark, starting at pos.  Returns the marks, or None at the first
-    one that fails.  The targets are read one per mark, lazily, so none is
-    read past a failing mark.  leftmost_mark from 0 gives minimal prefixes;
-    suffix_mark from the end of the cake, with the agents reversed, gives
-    minimal suffixes right to left."""
-    marks = []
-    for d, t in zip(dens, targets):
-        pos = mark(d, pos, t)
-        if pos is None:
-            return None
-        marks.append(pos)
-    return marks
-
-
-def _nonnegative(t: Rat) -> Rat:
-    if t < 0:
-        raise CakeError("targets must be nonnegative")
-    return t
-
-
 def greedy_fit(p: Problem, pi: Sequence[str],
                targets: dict[str, Rat]) -> Optional[tuple[Rat, ...]]:
-    """Sequential minimal prefixes along the ordering.
+    """Sequential minimal prefixes along the ordering: each agent in turn
+    takes leftmost_mark from the previous cut, starting at 0.
 
     Returns the cut vector (one cut per agent; the induced partition gives
     the last agent everything up to its cut, then extends to c), or None
     when the targets do not fit.  If this returns None, no connected
-    partition in this ordering meets all the targets.
+    partition in this ordering meets all the targets.  Each target is read
+    when its agent's cut is taken, so none is read past a failing mark; a
+    negative one is refused (CakeError).
     """
-    cuts = mark_chain(leftmost_mark, (p.density(a) for a in pi),
-                      (_nonnegative(targets[a]) for a in pi), Fraction(0))
-    return None if cuts is None else tuple(cuts)
+    cuts = []
+    pos = Fraction(0)
+    for a in pi:
+        d = p.density(a)
+        t = targets[a]
+        if t < 0:
+            raise CakeError("targets must be nonnegative")
+        pos = leftmost_mark(d, pos, t)
+        if pos is None:
+            return None
+        cuts.append(pos)
+    return tuple(cuts)
 
 
 def fitting_orderings(p: Problem, target: Callable[[str], Rat]
@@ -349,8 +342,14 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     cut position is an affine function of theta.  Each agent's step is one
     call of the measure kernel (Density._sweep_step: one grid locate and
     one goal locate), which returns the value the agent has left over its
-    target, its maximal mark y, the densities right of its start and of y,
-    and the next breakpoint beyond y.  The events are a cut crossing a grid
+    target as an int pair, its maximal mark y, the densities right of its
+    start and of y, and the next breakpoint beyond y.  The body works in
+    ints: theta is held as (tn, td), each target, the push and the slope
+    (reduced at each agent) are int pairs, each event is kept as its
+    distance from theta and the nearest is found by cross-multiplication,
+    so one normalised Fraction, the next theta, is built per event step.
+    A negative target can only occur at start, where the first pass
+    refuses it.  The events are a cut crossing a grid
     breakpoint and the last agent's exhaustion: the value it has left over
     its target, left = avail - tval, is affine between the other events and
     falls at rate beta_n + d_n(pos) * slope > 0, so its root is the last
@@ -367,32 +366,54 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     at any larger theta every leftmost mark lies beyond the stuck chain's
     mark and the stuck agent's strictly larger target no longer fits.
     """
-    dens = [p.density(a) for a in pi]
+    # at theta = tn/td, agent i's target alpha + beta * theta is
+    # (ta * td + tb * tn) / (tden * td)
+    lines = [(p.density(agent), a.numerator * b.denominator,
+              b.numerator * a.denominator, a.denominator * b.denominator,
+              b.numerator, b.denominator)
+             for agent, a, b in zip(pi, alphas, betas)]
     if any(b <= 0 for b in betas):
         raise CakeError("sweep requires strictly positive slopes")
     theta = start = Fraction(start)
-    if any(a + b * start < 0 for a, b in zip(alphas, betas)):
-        raise CakeError("sweep targets must be nonnegative at start")
-    last = len(dens) - 1
+    origin = Fraction(0)
+    last = len(lines) - 1
     while True:
-        pos = Fraction(0)
-        slope = Fraction(0)
-        events: list[Rat] = []
-        for i, (d, a, b) in enumerate(zip(dens, alphas, betas)):
-            left, y, right_of_pos, right_of_y, beyond = d._sweep_step(
-                pos, a + b * theta)
-            if left <= 0:
+        tn, td = theta.numerator, theta.denominator
+        pos = origin
+        sn, sd = 0, 1  # the slope d pos / d theta
+        for i, (d, ta, tb, tden, bn, bd) in enumerate(lines):
+            num = ta * td + tb * tn
+            if num < 0:  # targets rise with theta: only at start
+                raise CakeError("sweep targets must be nonnegative at start")
+            (ln, ld), y, right_of_pos, right_of_y, beyond = d._sweep_step(
+                pos, num, tden * td)
+            if ln <= 0:
                 break  # stuck: the chain does not certify theta
-            push = b + right_of_pos * slope
+            # push = beta + d(pos) * slope
+            rn, rd = right_of_pos.numerator, right_of_pos.denominator
+            pn, pd = bn * rd * sd + rn * sn * bd, bd * rd * sd
             if i == last:
-                events.append(theta + left / push)
-                continue
-            slope = push / right_of_y
-            events.append(theta + (beyond - y) / slope)
-            pos = y
+                dn, dd = ln * pd, ld * pn  # left / push
+            else:
+                sn, sd = pn * right_of_y.denominator, pd * right_of_y.numerator
+                g = gcd(sn, sd)
+                sn, sd = sn // g, sd // g
+                # (beyond - y) / slope
+                yn, yd = y.numerator, y.denominator
+                dn = (beyond.numerator * yd - yn * beyond.denominator) * sd
+                dd = beyond.denominator * yd * sn
+                pos = y
+            # dn/dd is the event's distance beyond theta (> 0): keep the
+            # nearest
+            if i == 0 or dn * ed < en * dd:
+                en, ed = dn, dd
         else:
-            theta = min(events)  # every event lies beyond theta
+            theta = Fraction(tn * ed + en * td, td * ed)
             continue
+        # a stuck first pass has not checked the agents after the stuck one
+        # at start; a later pass follows a complete first one
+        if any(ta * td + tb * tn < 0 for _, ta, tb, *_ in lines[i + 1:]):
+            raise CakeError("sweep targets must be nonnegative at start")
         targets = {agent: a + b * theta
                    for agent, a, b in zip(pi, alphas, betas)}
         if greedy_fit(p, pi, targets) is not None:

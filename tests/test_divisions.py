@@ -34,13 +34,14 @@ from cakecut.divisions import (
     division_from_json,
     division_to_json,
     greedy_fit,
-    mark_chain,
     max_slack,
     nash_product,
     sup_uniform_feasible,
     utilities,
     validate_division,
 )
+
+from test_pruned_search import mark_chain
 
 
 def iv(lo, hi):
@@ -285,6 +286,21 @@ class TestSweep:
                                      [F(1), F(2)], start)
         assert sup_uniform_feasible(p, ("A", "B"), [F(0), F(-1)],
                                     [F(1), F(2)], F(1, 2)) is not None
+
+    def test_rejects_negative_target_after_an_agent_stuck_at_start(self):
+        # A's target 100 exceeds its total 8, so the chain is stuck at the
+        # first agent; C's target -1 at start must still be refused, not
+        # answered with None by the greedy pass that fails at A
+        p = problem(["A", "B", "C"], [1] * 4,
+                    [[6, 0, 1, 1], [0, 4, 2, 2], [1, 1, 1, 1]])
+        with pytest.raises(CakeError,
+                           match="^sweep targets must be nonnegative "
+                                 "at start$"):
+            sup_uniform_feasible(p, ("A", "B", "C"), [F(100), F(0), F(-1)],
+                                 [F(1), F(1), F(1)], F(0))
+        assert sup_uniform_feasible(p, ("A", "B", "C"),
+                                    [F(100), F(0), F(-1)],
+                                    [F(1), F(1), F(1)], F(1)) is None
 
 
 def jump_cake():

@@ -3,10 +3,12 @@ unused imports, no bare assert statements (python -O strips them, so
 the library raises its invariant errors explicitly), no rule names in
 the CLI (the rule registry is the one place that knows a rule), no
 integer-scaled measure data outside cake_measure.py (its kernel is the
-one place that reads it), and no private helper that only the tests
-use (a test-only helper belongs in the tests)."""
+one place that reads it), and no private helper, function, class or
+method of a library class, that only the tests use (a test-only helper
+belongs in the tests, and a replaced kernel entry is not left behind)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -97,32 +99,41 @@ def test_kernel_read_finder_sees_attributes_and_imports():
                                   "scaled (line 3)"]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _names(node):
+    """Every name, attribute and import named inside node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
 def unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
-    """Private (one leading underscore) module-level functions and classes
-    that no other top-level statement of any of the trees names, as a
-    name, an attribute or an import."""
-    defined, statements = [], []
+    """Private (one leading underscore) module-level functions and classes,
+    and private methods of module-level classes, that nothing outside their
+    own definition names, as a name, an attribute or an import, in any of
+    the trees."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []
     for module, tree in trees.items():
         for stmt in tree.body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and stmt.name.startswith("_")
-                    and not stmt.name.startswith("__")):
-                defined.append((module, stmt))
-            statements.append(stmt)
-
-    def names(stmt):
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif isinstance(node, ast.alias):
-                yield node.name
-
-    return sorted(f"{module}:{d.name}" for module, d in defined
-                  if not any(d.name in names(stmt) for stmt in statements
-                             if stmt is not d))
+            if (isinstance(stmt, (*functions, ast.ClassDef))
+                    and _private(stmt.name)):
+                defined.append((f"{module}:{stmt.name}", stmt))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [(f"{module}:{stmt.name}.{method.name}", method)
+                            for method in stmt.body
+                            if isinstance(method, functions)
+                            and _private(method.name)]
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    return sorted(label for label, d in defined
+                  if named[d.name] == Counter(_names(d))[d.name])
 
 
 def test_every_private_helper_has_a_library_caller():
@@ -138,6 +149,24 @@ def test_private_helper_finder_sees_callers_in_other_modules():
         "b.py": ast.parse("from a import _used\n"),
     }
     assert unreferenced_private(trees) == ["a.py:_Left", "a.py:_recursive"]
+
+
+def test_private_helper_finder_sees_methods():
+    trees = {
+        "a.py": ast.parse("class Public:\n"
+                          "    def _used(self): return self._inner()\n"
+                          "    def _inner(self): pass\n"
+                          "    def _dead(self): pass\n"
+                          "    def _recursive(self): return self._recursive()\n"
+                          "    def __init__(self): pass\n"
+                          "    def public(self): pass\n"
+                          "class _Private:\n"
+                          "    def _dead(self): pass\n"),
+        "b.py": ast.parse("Public()._used()\n_Private\n"),
+    }
+    assert unreferenced_private(trees) == ["a.py:Public._dead",
+                                           "a.py:Public._recursive",
+                                           "a.py:_Private._dead"]
 
 
 def test_string_literal_finder_sees_f_string_parts():

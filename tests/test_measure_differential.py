@@ -256,6 +256,17 @@ def ref_sweep_step(d, pos, target):
             ref_next_breakpoint(d, y))
 
 
+def sweep_step(d, pos, target):
+    """Density._sweep_step on the target's numerator and denominator, with
+    the value left, an int pair over a positive denominator, built as the
+    normalised Fraction the reference returns."""
+    (num, den), *rest = Density._sweep_step(d, pos, target.numerator,
+                                             target.denominator)
+    if type(num) is not int or type(den) is not int or den <= 0:
+        raise TypeError(f"value left must be ints over den > 0: {num, den}")
+    return (F(num, den), *rest)
+
+
 def ref_value(d, iv):
     if iv.hi > d.grid.cake_length:
         raise CakeError(f"interval {iv} outside cake")
@@ -303,7 +314,7 @@ def _on_plateau(d, x, t):
 def _step_mismatches():
     """The sweep step's disagreements with the reference, lazily."""
     return ((d, x, t, got, want) for d, x, t in step_cases()
-            if (got := _outcome(Density._sweep_step, d, x, t))
+            if (got := _outcome(sweep_step, d, x, t))
             != (want := _outcome(ref_sweep_step, d, x, t)))
 
 

@@ -34,7 +34,6 @@ from cakecut.divisions import (
     division_from_cuts,
     fitting_orderings,
     greedy_fit,
-    mark_chain,
     max_slack,
     utilities,
 )
@@ -62,6 +61,22 @@ def _random_problem(rng, n):
         row[start:start + run] = [F(0)] * run
         rows.append(row)
     return problem("ABCDE"[:n], lengths, rows)
+
+
+def mark_chain(mark, dens, targets, pos):
+    """Sequential marks: each density in turn takes mark(d, pos, t) from the
+    previous mark, starting at pos.  Returns the marks, or None at the first
+    one that fails.  The targets are read one per mark, lazily, so none is
+    read past a failing mark.  leftmost_mark from 0 gives minimal prefixes
+    (greedy_fit's chain); suffix_mark from the end of the cake, with the
+    agents reversed, gives minimal suffixes right to left."""
+    marks = []
+    for d, t in zip(dens, targets):
+        pos = mark(d, pos, t)
+        if pos is None:
+            return None
+        marks.append(pos)
+    return marks
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,6 @@ from cakecut.cake_measure import (
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
-    mark_chain,
     sup_uniform_feasible,
     utilities,
 )
@@ -47,7 +46,12 @@ from cakecut.rules_monotone import (
     max_equitable,
 )
 
-from test_pruned_search import _random_problem, corpus, proportional_bound
+from test_pruned_search import (
+    _random_problem,
+    corpus,
+    mark_chain,
+    proportional_bound,
+)
 
 
 def oracle_sup_uniform_feasible(p, pi, alphas, betas, start):
