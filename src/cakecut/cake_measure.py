@@ -2,9 +2,9 @@
 
 The cake is the interval [0, c].  A SliceGrid partitions it into finitely
 many slices of positive length; a Density assigns one constant nonnegative
-value density to each slice.  All arithmetic is exact rational; lookups
-run on integer-scaled keys (see SliceGrid and Density), and each result
-is built as one normalised Fraction.
+value density to each slice.  All arithmetic is exact: lookups run on an
+integer kernel summed from the numerators and denominators of the inputs
+(see SliceGrid and Density), and each result is one normalised Fraction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -54,12 +55,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _scaled(xs: Sequence[Rat]) -> tuple[int, tuple[int, ...]]:
-    """(m, keys): m = lcm of the denominators of xs, keys[i] = xs[i] * m."""
-    m = lcm(*(x.denominator for x in xs))
-    return m, tuple(x.numerator * (m // x.denominator) for x in xs)
-
-
 def _locate(keys: tuple[int, ...], scale: int, num: int, den: int):
     """Place the rational num/den (den > 0) among sorted integer keys that
     stand for keys[i] / scale, exactly and without building a Fraction.
@@ -78,10 +73,10 @@ def _locate(keys: tuple[int, ...], scale: int, num: int, den: int):
 class SliceGrid:
     """Partition of [0, c] into slices of strictly positive length.
 
-    Point lookups run on integers: ``scaled`` holds S, the lcm of the
-    length denominators, and every breakpoint times S, so a point x is
-    placed by comparing the integer floor(x * S) with those integers (see
-    ``_locate``), which is exact.
+    Point lookups run on integers: ``scaled``, built in ints on first use,
+    holds S, the lcm of the length denominators, and B, the running sums of
+    the lengths times S; a point x is placed by comparing floor(x * S) with
+    B (see ``_locate``), which is exact.  ``breakpoints`` is the view B / S.
     """
 
     lengths: tuple[Rat, ...]
@@ -96,16 +91,16 @@ class SliceGrid:
 
     @cached_property
     def breakpoints(self) -> tuple[Rat, ...]:
-        pts = [Fraction(0)]
-        for x in self.lengths:
-            pts.append(pts[-1] + x)
-        return tuple(pts)
+        s, b = self.scaled
+        return tuple(Fraction(x, s) for x in b)
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(S, B): S = lcm of the breakpoint (equally, length) denominators,
-        B[k] = breakpoints[k] * S as an int."""
-        return _scaled(self.breakpoints)
+        """(S, B): S = lcm of the length (equally, breakpoint)
+        denominators, B[k] = breakpoints[k] * S as an int."""
+        s = lcm(*(x.denominator for x in self.lengths))
+        steps = (x.numerator * (s // x.denominator) for x in self.lengths)
+        return s, tuple(accumulate(steps, initial=0))
 
     @property
     def cake_length(self) -> Rat:
@@ -132,16 +127,16 @@ class SliceGrid:
 class Density:
     """Per-slice constant densities on a grid; total value must be positive.
 
-    Every value, mark and sweep step runs on one integer kernel.
-    ``scaled`` holds K, P and R, where prefix[k] = P[k] / K and values[k] =
-    R[k] * S / K for the grid's scale S.  K is the lcm of the denominators
-    of the prefix sums and of the values[k] / S, so all of P and R are
-    ints.  ``_prefix`` evaluates K * den * value[0, num/den] as an int from
-    one grid locate; ``_goal`` places a goal value, in the same units, among
-    P by comparing floor(goal * K) with P, which is exact for the same
-    reason as point lookups on the grid, and returns the first or the last
-    point where the prefix value reaches it.  Each public result is built
-    from these ints as one normalised Fraction.
+    Every value, mark and sweep step runs on one integer kernel, built in
+    ints on first use: ``scaled`` holds K, P and R, where P[k] / K is the
+    value of [0, b_k] and values[k] = R[k] * S / K for the grid's scale S,
+    and K is the least denominator that makes them all ints.  ``_prefix``
+    evaluates K * den * value[0, num/den] as an int from one grid locate;
+    ``_goal`` places a goal value, in the same units, among P by comparing
+    floor(goal * K) with P, which is exact for the same reason as point
+    lookups on the grid, and returns the first or the last point where the
+    prefix value reaches it.  Each public result is built from these ints
+    as one normalised Fraction.
     """
 
     grid: SliceGrid
@@ -158,23 +153,21 @@ class Density:
             raise CakeError("agent must value the cake positively")
 
     @cached_property
-    def prefix(self) -> tuple[Rat, ...]:
-        """Cumulative value at each breakpoint: prefix[k] = value of [0, b_k]."""
-        acc = [Fraction(0)]
-        for length, v in zip(self.grid.lengths, self.values):
-            acc.append(acc[-1] + length * v)
-        return tuple(acc)
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(K, P, R) from D, the lcm of the density denominators: R[k] =
+        values[k] * D, P the running sums of (B[k + 1] - B[k]) * R[k], and K
+        = S * D, all divided by their gcd, which leaves the least K."""
+        s, b = self.grid.scaled
+        d = lcm(*(v.denominator for v in self.values))
+        rate = [v.numerator * (d // v.denominator) for v in self.values]
+        p = list(accumulate(
+            ((hi - lo) * r for lo, hi, r in zip(b, b[1:], rate)), initial=0))
+        g = gcd(s * d, *p, *rate)
+        return s * d // g, tuple(x // g for x in p), tuple(x // g for x in rate)
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(K, P, R): P[k] = prefix[k] * K and R[k] = values[k] * K / S,
-        all ints (S is the grid's scale)."""
-        s = self.grid.scaled[0]
-        rates = tuple(Fraction(v.numerator, v.denominator * s)
-                      for v in self.values)
-        m, keys = _scaled(self.prefix + rates)
-        n = len(self.prefix)
-        return m, keys[:n], keys[n:]
+    def _total(self) -> Rat:
+        return Fraction(self.scaled[1][-1], self.scaled[0])
 
     def _prefix(self, num: int, den: int) -> Optional[tuple[int, int]]:
         """Prefix evaluator: (k, K * den * value[0, x]) for the point x =
@@ -263,7 +256,7 @@ class Density:
 
 def total(d: Density) -> Rat:
     """Total cake value of the agent, strictly positive by construction."""
-    return d.prefix[-1]
+    return d._total
 
 
 def value(d: Density, iv: Interval) -> Rat:
@@ -294,8 +287,12 @@ def value_piece(d: Density, piece: Iterable[Interval], mode: str) -> Rat:
     mode "connected": value of the best single connected component (adjacent
     intervals merged first).  mode "additive": plain sum.
     """
-    components = merge_components(piece)
-    vals = [value(d, iv) for iv in components]
+    return value_components(d, merge_components(piece), mode)
+
+
+def value_components(d: Density, parts: Iterable[Interval], mode: str) -> Rat:
+    """value_piece of a piece already merged by merge_components."""
+    vals = [value(d, iv) for iv in parts]
     if mode == "connected":
         return max(vals, default=Fraction(0))
     if mode == "additive":

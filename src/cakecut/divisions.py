@@ -35,6 +35,7 @@ from .cake_measure import (
     parse_rat,
     suffix_mark,
     total,
+    value_components,
     value_piece,
 )
 
@@ -66,20 +67,25 @@ class Division:
         return tuple(a for a, _ in self.assignments)
 
 
-def validate_division(p: Problem, x: Division) -> None:
-    """Check pieces lie inside the cake and are disjoint across agents."""
+def validate_division(p: Problem, x: Division) -> dict[str, list[Interval]]:
+    """Check pieces lie inside the cake and are disjoint across agents;
+    returns each agent's piece merged into its connected components."""
     if set(x.agents()) - set(p.agents):
         raise CakeError("division mentions unknown agents")
+    components: dict[str, list[Interval]] = {}
     all_parts = []
-    for _, ivs in x.assignments:
+    for a, ivs in x.assignments:
         for iv in ivs:
             if iv.hi > p.cake_length:
                 raise CakeError(f"interval {iv} outside cake")
-        all_parts.extend(merge_components(ivs))
+        merged = merge_components(ivs)
+        components.setdefault(a, merged)  # x.piece(a) is a's first entry
+        all_parts.extend(merged)
     all_parts.sort(key=lambda iv: (iv.lo, iv.hi))
     for a, b in zip(all_parts, all_parts[1:]):
         if b.lo < a.hi:
             raise CakeError(f"pieces overlap near {b.lo}")
+    return components
 
 
 # Division file format: [{"agent": ..., "intervals": [["p/q", "p/q"], ...]}, ...]
@@ -133,15 +139,10 @@ class PartitionStats:
 
 
 def utilities(p: Problem, x: Division, mode: str = CONNECTED) -> UtilityVector:
-    validate_division(p, x)
-    absolute: dict[str, Rat] = {}
-    relative: dict[str, Rat] = {}
-    for a in p.agents:
-        d = p.density(a)
-        piece = x.piece(a) if a in x.agents() else ()
-        u = value_piece(d, piece, mode)
-        absolute[a] = u
-        relative[a] = u / total(d)
+    components = validate_division(p, x)
+    absolute = {a: value_components(d, components.get(a, ()), mode)
+                for a, d in zip(p.agents, p.densities)}
+    relative = {a: u / total(p.density(a)) for a, u in absolute.items()}
     return UtilityVector(mode, absolute, relative)
 
 

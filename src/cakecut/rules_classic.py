@@ -26,6 +26,7 @@ from .cake_measure import (
     merge_components,
     total,
     value,
+    value_components,
     value_piece,
 )
 from .divisions import ADDITIVE, Division
@@ -38,8 +39,7 @@ def split_equal(d: Density, piece: Sequence[Interval], k: int) -> list[Piece]:
     sweeping minimal prefixes left to right; the last part absorbs any
     worthless remainder."""
     comps = merge_components(piece)
-    total_v = sum((value(d, iv) for iv in comps), Fraction(0))
-    target = total_v / k
+    target = value_components(d, comps, ADDITIVE) / k
     parts: list[Piece] = []
     idx = 0
     pos = comps[0].lo if comps else None

@@ -190,27 +190,28 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
 
     The search keeps a floor: the best value so far, or before that the
     proportional bound L (see _proportional_floor).  fitting_orderings walks
-    the orderings with targets floor * scale_i, read when each cut is
-    taken, and prunes every ordering whose prefix does not fit; the floor
-    only rises, so pruning from cuts taken at an earlier floor never drops
-    an ordering that reaches the current one.  Each ordering it yields is
-    swept from the floor, which returns None for one that no longer reaches
-    it.  Each winner's division is built at the best value, and its slides
-    certify that value (see equitable_for_ordering), so a wrong sweep value
-    raises InvariantError.
+    the orderings with targets floor * scale_i, refilled when the floor
+    rises and read when each cut is taken, and prunes every ordering whose
+    prefix does not fit; the floor only rises, so pruning from cuts taken
+    at an earlier floor never drops an ordering that reaches the current
+    one.  Each ordering it yields is swept from the floor, which returns
+    None for one that no longer reaches it.  Each winner's division is
+    built at the best value, and its slides certify that value (see
+    equitable_for_ordering), so a wrong sweep value raises InvariantError.
     """
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
     best = _proportional_floor(p, scale)
+    targets = {a: best * scale[a] for a in p.agents}
     winners: list[tuple[str, ...]] = []
-    for pi in fitting_orderings(p, lambda a: best * scale[a]):
+    for pi in fitting_orderings(p, targets.__getitem__):
         v = sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], best)
         if v is None:
             continue
-        if v > best or not winners:
-            best, winners = v, [pi]
-        else:  # v == best
-            winners.append(pi)
+        if v > best:  # else v == best
+            best, winners = v, []
+            targets.update((a, v * scale[a]) for a in p.agents)
+        winners.append(pi)
     if not winners:
         raise CakeError("no ordering reaches the proportional bound")
     divisions = [equitable_for_ordering(p, pi, mode, best).division(p)

@@ -18,6 +18,7 @@ from cakecut.cake_measure import (
     problem_from_json,
     problem_to_json,
     suffix_mark,
+    total,
     value,
 )
 from cakecut.cli import main
@@ -79,7 +80,7 @@ def test_problem_json_round_trip(p, q_point, q_target):
     # lookups on fractional grids)
     for d in back.densities:
         x = q_point * back.cake_length
-        target = q_target * (d.prefix[-1] - d.prefix_at(x))
+        target = q_target * (total(d) - d.prefix_at(x))
         y = leftmost_mark(d, x, target)
         assert value(d, Interval(x, y)) == target
         z = suffix_mark(d, x, q_target * d.prefix_at(x))

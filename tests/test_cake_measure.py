@@ -18,6 +18,7 @@ from cakecut.cake_measure import (
     parse_rat,
     problem,
     problem_from_json,
+    problem_to_json,
     remove_agent,
     rightmost_mark,
     suffix_mark,
@@ -167,6 +168,21 @@ class TestProblemTransforms:
         q = remove_agent(p, "B")
         assert q.agents == ("A", "C")
         assert total(q.density("C")) == 3
+
+    def test_building_a_cake_fills_no_kernel(self):
+        """The integer kernels fill on first use, not when a problem is
+        built, parsed, enlarged or shrunk."""
+        def filled(p):
+            return [o for o in (p.grid, *p.densities)
+                    if "scaled" in vars(o)]
+
+        p = problem(["A", "B"], [1, F(1, 3)], [[1, 2], [F(3, 7), 0]])
+        built = [p, problem_from_json(problem_to_json(p)),
+                 append(p, [F(1, 2)], {"A": [5], "B": [0]}),
+                 remove_agent(p, "B")]
+        assert [filled(q) for q in built] == [[]] * len(built)
+        value(p.density("B"), Interval(0, 1))
+        assert filled(p) == [p.grid, p.density("B")]
 
     def test_zero_length_slice_rejected(self):
         with pytest.raises(CakeError):

@@ -7,12 +7,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from cakecut import divisions
+from cakecut import cake_measure, divisions
 from cakecut.cake_measure import (
     CakeError,
     Interval,
     InvariantError,
     leftmost_mark,
+    merge_components,
     problem,
     remove_agent,
     suffix_mark,
@@ -89,6 +90,21 @@ class TestValidation:
         x = Division.of({"A": [iv(0, 1)]})
         u = utilities(p, x)
         assert u.absolute["B"] == 0
+
+    def test_utilities_merges_each_piece_once(self, monkeypatch):
+        merged = []
+
+        def merge(piece):
+            merged.append(piece)
+            return merge_components(piece)
+
+        for module in (cake_measure, divisions):
+            monkeypatch.setattr(module, "merge_components", merge)
+        p = no_po_ef()
+        x = Division.of({"A": [iv(0, 1), iv(1, 2)], "C": [iv(3, 5)]})
+        u = utilities(p, x)
+        assert u.absolute == {"A": 2, "B": 0, "C": 2}
+        assert len(merged) == len(x.assignments)
 
     def test_json_round_trip(self):
         x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 4)]})

@@ -1,21 +1,28 @@
 """Differential tests: the integer-keyed measure layer against the plain
 Fraction-bisect implementation it replaced.
 
-The reference functions below search the Fraction breakpoints and prefix
-sums with ``bisect`` and do every step in Fraction arithmetic.  On a
-fixed-seed corpus of densities (length denominators 1, 2, 3, 7 and 10,
-fractional densities, leading, trailing and interior zero stretches) the
-library must return the same normalised Fraction, or None, or raise the
-same exception type with the same message, for every query point and
-target.
+The reference functions below build their own Fraction running sums of
+the slice lengths and of the slice values, search them with ``bisect``
+and do every step in Fraction arithmetic, reading nothing the kernel
+derives.  On a fixed-seed corpus of densities (length denominators 1, 2,
+3, 7 and 10, fractional densities, leading, trailing and interior zero
+stretches) the library must return the same normalised Fraction, or
+None, or raise the same exception type with the same message, for every
+query point and target.  The kernel's own ints are held to the lcm over
+the Fraction sums that built them before they were summed as ints, on the
+corpus and as a Hypothesis property.
 """
 
 import bisect
 import random
 from fractions import Fraction as F
 from functools import cache
+from itertools import accumulate
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cakecut.cake_measure import (
     CakeError,
@@ -25,33 +32,61 @@ from cakecut.cake_measure import (
     leftmost_mark,
     maximal_mark,
     suffix_mark,
+    total,
     value,
 )
 
 # ---------------------------------------------------------------------------
-# Reference implementation: Fraction bisect over the cached Fraction tuples
+# Reference implementation: Fraction bisect over Fraction running sums
+
+
+_SUMS = {}
+
+
+def ref_sums(d):
+    """(breakpoints, prefix): the running sums of the slice lengths from 0,
+    and prefix[k], the value of [0, breakpoints[k]], in Fractions.
+    Memoised by identity (hashing a density costs more than a lookup);
+    each entry holds its density, so its id is not reused while cached."""
+    if id(d) not in _SUMS:
+        lengths = d.grid.lengths
+        _SUMS[id(d)] = d, (
+            tuple(accumulate(lengths, initial=F(0))),
+            tuple(accumulate((x * v for x, v in zip(lengths, d.values)),
+                             initial=F(0))))
+    return _SUMS[id(d)][1]
+
+
+def ref_breakpoints(d):
+    return ref_sums(d)[0]
+
+
+def ref_prefix(d):
+    return ref_sums(d)[1]
 
 
 def ref_slice_right_of(d, x):
-    if x < 0 or x >= d.grid.cake_length:
+    bps = ref_breakpoints(d)
+    if x < 0 or x >= bps[-1]:
         raise CakeError(f"point {x} has no slice to its right")
-    return bisect.bisect_right(d.grid.breakpoints, x) - 1
+    return bisect.bisect_right(bps, x) - 1
 
 
 def ref_next_breakpoint(d, x):
-    if x >= d.grid.cake_length:
+    bps = ref_breakpoints(d)
+    if x >= bps[-1]:
         raise CakeError(f"no breakpoint beyond {x}")
-    bps = d.grid.breakpoints
     return bps[bisect.bisect_right(bps, x)]
 
 
 def ref_prefix_at(d, x):
-    if x < 0 or x > d.grid.cake_length:
+    bps, pre = ref_sums(d)
+    if x < 0 or x > bps[-1]:
         raise CakeError(f"point {x} outside cake")
-    if x == d.grid.cake_length:
-        return d.prefix[-1]
+    if x == bps[-1]:
+        return pre[-1]
     k = ref_slice_right_of(d, x)
-    return d.prefix[k] + d.values[k] * (x - d.grid.breakpoints[k])
+    return pre[k] + d.values[k] * (x - bps[k])
 
 
 def ref_density_right_of(d, x):
@@ -59,23 +94,23 @@ def ref_density_right_of(d, x):
 
 
 def ref_leftmost_mark(d, start, target):
+    bps, pre = ref_sums(d)
     if target < 0:
         raise CakeError("target must be nonnegative")
-    if start < 0 or start > d.grid.cake_length:
+    if start < 0 or start > bps[-1]:
         raise CakeError(f"start {start} outside cake")
     if target == 0:
         return start
     goal = ref_prefix_at(d, start) + target
-    if goal > d.prefix[-1]:
+    if goal > pre[-1]:
         return None
-    bps = d.grid.breakpoints
-    k = bisect.bisect_right(d.prefix, goal) - 1
-    if k == len(bps) - 1 or d.prefix[k] == goal:
-        while k > 0 and d.prefix[k - 1] == goal:
+    k = bisect.bisect_right(pre, goal) - 1
+    if k == len(bps) - 1 or pre[k] == goal:
+        while k > 0 and pre[k - 1] == goal:
             k -= 1
         y = bps[k]
     else:
-        y = bps[k] + (goal - d.prefix[k]) / d.values[k]
+        y = bps[k] + (goal - pre[k]) / d.values[k]
     return y if y >= start else start
 
 
@@ -83,30 +118,31 @@ def ref_maximal_mark(d, start, target):
     y = ref_leftmost_mark(d, start, target)
     if y is None:
         return None
-    while y < d.grid.cake_length:
+    bps = ref_breakpoints(d)
+    while y < bps[-1]:
         k = ref_slice_right_of(d, y)
         if d.values[k] != 0:
             break
-        y = d.grid.breakpoints[k + 1]
+        y = bps[k + 1]
     return y
 
 
 def ref_suffix_mark(d, end, target):
+    bps, pre = ref_sums(d)
     if target < 0:
         raise CakeError("target must be nonnegative")
-    if end < 0 or end > d.grid.cake_length:
+    if end < 0 or end > bps[-1]:
         raise CakeError(f"end {end} outside cake")
     goal = ref_prefix_at(d, end) - target
     if goal < 0:
         return None
-    bps = d.grid.breakpoints
-    k = bisect.bisect_right(d.prefix, goal) - 1
-    if d.prefix[k] == goal:
-        while k + 1 < len(d.prefix) and d.prefix[k + 1] == goal:
+    k = bisect.bisect_right(pre, goal) - 1
+    if pre[k] == goal:
+        while k + 1 < len(pre) and pre[k + 1] == goal:
             k += 1
         x = bps[k]
     else:
-        x = bps[k] + (goal - d.prefix[k]) / d.values[k]
+        x = bps[k] + (goal - pre[k]) / d.values[k]
     return min(x, end)
 
 
@@ -166,7 +202,7 @@ def _points(rng, d):
     """Every breakpoint (0 and c among them), one interior point per slice
     (its midpoint or a point at an odd fraction of it), and one point
     outside on each side."""
-    bps = d.grid.breakpoints
+    bps = ref_breakpoints(d)
     pts = list(bps)
     for lo, hi in zip(bps, bps[1:]):
         pts.append(lo + (hi - lo) * rng.choice((F(1, 2), F(3, 11), F(8, 13))))
@@ -177,8 +213,8 @@ def _targets(rng, d):
     """Marks are queried at each point with 0, a negative target, the
     total plus epsilon, and two targets drawn from every prefix value
     (plateaus included), a third of the total and the total."""
-    whole = d.prefix[-1]
-    pool = [*d.prefix, whole / 3, whole]
+    whole = ref_prefix(d)[-1]
+    pool = [*ref_prefix(d), whole / 3, whole]
     return [F(0), F(-1, 5), whole + EPS, *rng.sample(pool, 2)]
 
 
@@ -248,7 +284,7 @@ def ref_sweep_step(d, pos, target):
     """The sweep step as the composition the sweep made before the kernel:
     the value left over the target, then maximal_mark and the three grid
     lookups only when some value is left."""
-    left = d.prefix[-1] - ref_prefix_at(d, pos) - target
+    left = ref_prefix(d)[-1] - ref_prefix_at(d, pos) - target
     if left <= 0:
         return left, None, None, None, None
     y = ref_maximal_mark(d, pos, target)
@@ -268,7 +304,7 @@ def sweep_step(d, pos, target):
 
 
 def ref_value(d, iv):
-    if iv.hi > d.grid.cake_length:
+    if iv.hi > ref_breakpoints(d)[-1]:
         raise CakeError(f"interval {iv} outside cake")
     return ref_prefix_at(d, iv.hi) - ref_prefix_at(d, iv.lo)
 
@@ -279,11 +315,11 @@ def _step_targets(rng, d, x):
     total (nothing left) and past it, on one other breakpoint value and
     inside one slice beyond x, plus 0 and a negative target."""
     base = ref_prefix_at(d, x)
-    whole = d.prefix[-1]
-    above = [v for v in d.prefix if v > base]
-    plateaus = {v for v, w in zip(d.prefix, d.prefix[1:])
-                if v == w and v > base}
-    inside = [(v + w) / 2 for v, w in zip(d.prefix, d.prefix[1:])
+    pre = ref_prefix(d)
+    whole = pre[-1]
+    above = [v for v in pre if v > base]
+    plateaus = {v for v, w in zip(pre, pre[1:]) if v == w and v > base}
+    inside = [(v + w) / 2 for v, w in zip(pre, pre[1:])
               if v > base and w > v]
     goals = {*plateaus, whole, rng.choice(above),
              *rng.sample(inside, min(1, len(inside)))} if above else set()
@@ -299,7 +335,7 @@ def step_cases():
     cases = []
     for d, points, _ in corpus():
         for x in points:
-            if x < 0 or x > d.grid.cake_length:
+            if x < 0 or x > ref_breakpoints(d)[-1]:
                 cases.append((d, x, F(0)))
                 continue
             cases += [(d, x, t) for t in _step_targets(rng, d, x)]
@@ -308,7 +344,7 @@ def step_cases():
 
 def _on_plateau(d, x, t):
     """The goal value[0, x] + t is the value across a zero run."""
-    return d.prefix.count(d.prefix_at(x) + t) > 1
+    return ref_prefix(d).count(d.prefix_at(x) + t) > 1
 
 
 def _step_mismatches():
@@ -320,10 +356,10 @@ def _step_mismatches():
 
 def test_step_cases_cover_the_edges():
     """Read with the library's own lookups, which the tests above hold to
-    the reference."""
+    the reference, and the reference's running sums."""
     kinds = set()
     for d, x, t in step_cases():
-        c = d.grid.cake_length
+        c = ref_breakpoints(d)[-1]
         if x < 0 or x > c:
             kinds.add("outside")
             continue
@@ -333,15 +369,15 @@ def test_step_cases_cover_the_edges():
         goal = d.prefix_at(x) + t
         if x == c:
             kinds.add("pos at c")
-        if goal == d.prefix[-1]:
+        if goal == total(d):
             kinds.add("goal at c")
-        elif goal > d.prefix[-1]:
+        elif goal > total(d):
             kinds.add("goal past c")
         elif _on_plateau(d, x, t):
             kinds.add("goal on a plateau")
         if x < c and d.density_right_of(x) == 0:
             kinds.add("pos in a zero run")
-        bps = d.grid.breakpoints
+        bps = ref_breakpoints(d)
         if x in bps[1:-1]:
             k = bps.index(x)
             if (d.values[k - 1] == 0) != (d.values[k] == 0):
@@ -375,7 +411,7 @@ def value_cases():
     rng = random.Random(SEED + 2)
     cases = []
     for d, points, _ in corpus():
-        bps = d.grid.breakpoints
+        bps = ref_breakpoints(d)
         c = bps[-1]
         cases += [(d, Interval(x, x)) for x in points if 0 <= x <= c]
         for lo, hi in zip(bps, bps[1:]):
@@ -393,3 +429,74 @@ def test_value_matches_reference():
                   if (got := _outcome(value, d, iv))
                   != (want := _outcome(ref_value, d, iv))]
     assert not mismatches, mismatches[:5]
+
+
+# ---------------------------------------------------------------------------
+# The kernel's ints against the lcm over the Fraction running sums
+
+
+def _over(m, xs):
+    """Each x * m as an int (m a multiple of every x's denominator)."""
+    return tuple(x.numerator * (m // x.denominator) for x in xs)
+
+
+def ref_kernel(d):
+    """(S, B), (K, P, R), the breakpoints and the total as the kernel was
+    built from Fractions: S is the lcm of the breakpoint denominators, and
+    K the lcm of the denominators of the prefix sums and of the rates
+    values[k] / S."""
+    bps, pre = ref_sums(d)
+    s = lcm(*(x.denominator for x in bps))
+    rates = [v / s for v in d.values]
+    k = lcm(*(x.denominator for x in (*pre, *rates)))
+    return ((s, _over(s, bps)), (k, _over(k, pre), _over(k, rates)),
+            bps, pre[-1])
+
+
+def kernel(d):
+    """The library's kernels and the Fraction views read from them."""
+    return d.grid.scaled, d.scaled, d.grid.breakpoints, total(d)
+
+
+def test_kernel_matches_the_fraction_construction():
+    mismatches = [(d, kernel(d), ref_kernel(d)) for d, _, _ in corpus()
+                  if kernel(d) != ref_kernel(d)]
+    assert not mismatches, mismatches[:5]
+
+
+PRIMES = (2, 3, 7, 10007, 65537, 2_147_483_647, 2**61 - 1)
+
+
+def _rationals(numerators):
+    """Fractions over small denominators or large primes."""
+    return st.builds(F, numerators,
+                     st.integers(1, 12) | st.sampled_from(PRIMES))
+
+
+@st.composite
+def kernel_densities(draw):
+    """One to eight slices, lengths and densities over small denominators
+    or large primes, and zero runs at the start, at the end and inside."""
+    k = draw(st.integers(1, 8))
+    lengths = draw(st.lists(_rationals(st.integers(1, 10**12)),
+                            min_size=k, max_size=k))
+    values = draw(st.lists(_rationals(st.integers(0, 10**12)),
+                           min_size=k, max_size=k))
+    lead, trail = draw(st.integers(0, k)), draw(st.integers(0, k))
+    lo = draw(st.integers(0, k))
+    hi = draw(st.integers(lo, k))
+    for i in (*range(lead), *range(k - trail, k), *range(lo, hi)):
+        values[i] = F(0)
+    if not any(values):
+        values[draw(st.integers(0, k - 1))] = draw(
+            _rationals(st.integers(1, 10**12)))
+    return Density(SliceGrid(tuple(lengths)), tuple(values))
+
+
+@settings(max_examples=200)
+@given(kernel_densities())
+@example(Density(SliceGrid((F(3, 65537),)), (F(5, 2**61 - 1),)))
+@example(Density(SliceGrid((F(1, 7), F(2, 10007), F(1), F(5, 3), F(1, 2))),
+                 (F(0), F(3, 65537), F(0), F(2, 3), F(0))))
+def test_kernel_matches_the_fraction_construction_property(d):
+    assert kernel(d) == ref_kernel(d)

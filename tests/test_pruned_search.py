@@ -37,6 +37,7 @@ from cakecut.divisions import (
     max_slack,
     utilities,
 )
+from cakecut import rules_monotone as rm
 from cakecut.monotonicity_harness import GRID_COUNTEREXAMPLES, get_rule
 from cakecut.rules_monotone import (
     equitable_for_ordering,
@@ -131,6 +132,39 @@ def test_max_equitable_matches_enumerator(index, mode):
     assert out.divisions == [equitable_for_ordering(p, pi, mode).division(p)
                              for pi in winners]
     assert out.value >= proportional_bound(p, mode)
+
+
+@pytest.mark.parametrize("mode", [RELATIVE, ABSOLUTE])
+def test_max_equitable_walk_reads_the_current_floor(monkeypatch, mode):
+    """Every target the ordering walk reads is the floor at that moment
+    times the agent's scale: the proportional bound until a sweep returns
+    more, then the best value swept so far."""
+    floor, reads = [], []
+    walk, sweep = rm.fitting_orderings, rm.sup_uniform_feasible
+
+    def traced_walk(p, target):
+        def read(a):
+            reads.append((target(a), floor[0] * scale[a], floor[0]))
+            return reads[-1][0]
+        return walk(p, read)
+
+    def traced_sweep(*args):
+        v = sweep(*args)
+        if v is not None:
+            floor[0] = max(floor[0], v)
+        return v
+
+    monkeypatch.setattr(rm, "fitting_orderings", traced_walk)
+    monkeypatch.setattr(rm, "sup_uniform_feasible", traced_sweep)
+    raised = 0
+    for p in corpus():
+        scale = {a: total(p.density(a)) if mode == RELATIVE else 1
+                 for a in p.agents}
+        floor[:], reads[:] = [proportional_bound(p, mode)], []
+        max_equitable(p, mode)
+        assert all(t == want for t, want, _ in reads)
+        raised += any(f > proportional_bound(p, mode) for _, _, f in reads)
+    assert raised
 
 
 def _wpo_inputs(p):
