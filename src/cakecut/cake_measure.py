@@ -135,8 +135,10 @@ class Density:
     ``_goal`` places a goal value, in the same units, among P by comparing
     floor(goal * K) with P, which is exact for the same reason as point
     lookups on the grid, and returns the first or the last point where the
-    prefix value reaches it.  Each public result is built from these ints
-    as one normalised Fraction.
+    prefix value reaches it.  ``_mark`` is the one mark entry: int pairs in,
+    a normalised int pair out, which the library's mark chains carry from
+    mark to mark.  Each public result is built from these ints as one
+    normalised Fraction.
     """
 
     grid: SliceGrid
@@ -184,11 +186,11 @@ class Density:
         # K * value = P[k] + R[k] * (x * S - B[k]), and x * S = q + r / den
         return k, p[k] * den + rate[k] * ((q - b[k]) * den + r)
 
-    def _goal(self, g: int, den: int, last: bool) -> tuple[int, Rat]:
+    def _goal(self, g: int, den: int, last: bool) -> tuple[int, int, int]:
         """Goal locator: for the goal value g / (K * den), between 0 and the
-        total, (k, y) where y is the first point (the last, if last) at which
-        the prefix value reaches the goal and k is the slice right of y
-        (len(values) at y = c)."""
+        total, (k, yn, yd) where yn / yd (yd > 0, not always reduced) is the
+        first point (the last, if last) at which the prefix value reaches
+        the goal and k is the slice right of it (len(values) at c)."""
         _, p, rate = self.scaled
         # g / den is the goal already scaled by K; k is the last breakpoint
         # with P[k] <= q
@@ -197,14 +199,42 @@ class Density:
             # P[k] < goal * K < P[k + 1], so slice k has positive density:
             # y = B[k] / S + (goal * K - P[k]) / (R[k] * S)
             s, b = self.grid.scaled
-            return k, Fraction((b[k] * rate[k] + q - p[k]) * den + r,
-                               rate[k] * s * den)
+            return k, (b[k] * rate[k] + q - p[k]) * den + r, rate[k] * s * den
         # the goal is a breakpoint value; P is flat across zero-density
         # slices, so the breakpoints achieving it form one run ending at k
         if not last:
             while k > 0 and p[k - 1] == q:
                 k -= 1
-        return k, self.grid.breakpoints[k]
+        y = self.grid.breakpoints[k]
+        return k, y.numerator, y.denominator
+
+    def _mark(self, xn: int, xd: int, tn: int, td: int, sign: int = 1,
+              last: bool = False) -> Optional[tuple[int, int]]:
+        """Mark kernel on int pairs: for the point x = xn/xd in lowest terms
+        and the target tn/td (both denominators positive), the first point
+        (the last, if last) at which the prefix value reaches value[0, x] +
+        sign * target, as a gcd-normalised pair over a positive
+        denominator, or None when no point of the cake does.  sign 1 gives
+        leftmost_mark (first) and maximal_mark (last) from the start x,
+        sign -1 with last suffix_mark back from the end x.  A zero target
+        gives x itself for the leftmost and suffix marks, whose located
+        point would lie on the far side of x across a zero stretch."""
+        if tn < 0:
+            raise CakeError("target must be nonnegative")
+        at = self._prefix(xn, xd)
+        if at is None:
+            what = "start" if sign > 0 else "end"
+            raise CakeError(f"{what} {Fraction(xn, xd)} outside cake")
+        if tn == 0 and last != (sign > 0):
+            return xn, xd
+        m, p, _ = self.scaled
+        den = xd * td
+        g = at[1] * td + sign * tn * m * xd  # the goal in the kernel's units
+        if g > p[-1] * den if sign > 0 else g < 0:
+            return None
+        _, yn, yd = self._goal(g, den, last)
+        r = gcd(yn, yd)
+        return yn // r, yd // r
 
     def _between(self, lo: Rat, hi: Rat) -> Optional[Rat]:
         """Value of [lo, hi] for 0 <= lo <= hi, or None when hi > c."""
@@ -237,8 +267,8 @@ class Density:
         if tn < 0:
             raise CakeError("target must be nonnegative")
         # the goal lies below the total, so y < c and slice k exists
-        k, y = self._goal(g, den, True)
-        return (left, y, self.values[at[0]], self.values[k],
+        k, yn, yd = self._goal(g, den, True)
+        return (left, Fraction(yn, yd), self.values[at[0]], self.values[k],
                 self.grid.breakpoints[k + 1])
 
     def prefix_at(self, x: Rat) -> Rat:
@@ -300,19 +330,13 @@ def value_components(d: Density, parts: Iterable[Interval], mode: str) -> Rat:
     raise CakeError(f"unknown utility mode {mode!r}")
 
 
-def _mark_goal(d: Density, x: Rat, target: Rat, what: str, sign: int):
-    """Check a mark query at x and form its goal value[0, x] + sign *
-    target in the kernel's units: (x, target numerator, g, den) with goal =
-    g / (K * den)."""
+def _mark_rat(d: Density, x: Rat, target: Rat, sign: int,
+              last: bool) -> Optional[Rat]:
+    """Density._mark on rationals: the mark as one Fraction, or None."""
     x, target = _rat(x), _rat(target)
-    tn, td = target.numerator, target.denominator
-    if tn < 0:
-        raise CakeError("target must be nonnegative")
-    xd = x.denominator
-    at = d._prefix(x.numerator, xd)
-    if at is None:
-        raise CakeError(f"{what} {x} outside cake")
-    return x, tn, at[1] * td + sign * tn * d.scaled[0] * xd, xd * td
+    y = d._mark(x.numerator, x.denominator, target.numerator,
+                target.denominator, sign, last)
+    return None if y is None else Fraction(*y)
 
 
 def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
@@ -321,14 +345,9 @@ def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     Left-continuous in the target: when the target exactly exhausts a
     positive run, the mark is the run's right end, before any zero stretch.
     The first point at which the prefix value reaches value[0, start] +
-    target, from one prefix evaluation and one goal locate.
+    target, from one prefix evaluation and one goal locate (Density._mark).
     """
-    start, tn, g, den = _mark_goal(d, start, target, "start", 1)
-    if tn == 0:
-        return start
-    if g > d.scaled[1][-1] * den:
-        return None
-    return d._goal(g, den, False)[1]
+    return _mark_rat(d, start, target, 1, False)
 
 
 def rightmost_mark(d: Density, target: Rat) -> Optional[Rat]:
@@ -343,24 +362,13 @@ def maximal_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     follows it: the last point at which the prefix value reaches
     value[0, start] + target, located directly.
     """
-    _, _, g, den = _mark_goal(d, start, target, "start", 1)
-    if g > d.scaled[1][-1] * den:
-        return None
-    return d._goal(g, den, True)[1]
+    return _mark_rat(d, start, target, 1, True)
 
 
 def suffix_mark(d: Density, end: Rat, target: Rat) -> Optional[Rat]:
     """Maximum x <= end with value [x, end] == target, or None: the last
     point at which the prefix value reaches value[0, end] - target."""
-    end, tn, g, den = _mark_goal(d, end, target, "end", -1)
-    if tn == 0:
-        # the last point with the value at end is end itself or lies
-        # beyond it
-        return end
-    if g < 0:
-        return None
-    # the goal is below the value at end, so the mark lies before end
-    return d._goal(g, den, True)[1]
+    return _mark_rat(d, end, target, -1, True)
 
 
 @dataclass(frozen=True)

@@ -4,39 +4,40 @@ Implements proportionality, envy-freeness, equitability, weak Pareto
 optimality, Pareto optimality (over connected partitions), the Nash
 product, and essential single-valuedness, all in exact rational
 arithmetic.  The efficiency checkers rest on one feasibility path:
-sequential marks along an agent ordering (greedy_fit is the one loop of
-minimal prefixes from 0, the sweep's certifying pass; fitting_orderings
-walks the same chains over shared ordering prefixes; _pivot_chains
-memoises minimal-prefix and minimal-suffix chains for Pareto optimality
-and constrained_max) and an exact parametric sweep over a uniform slack
-parameter, its body in integer arithmetic (max_slack for weak Pareto
-optimality).
+sequential marks, carried from mark to mark as int pairs through the
+measure kernel's one mark entry (Density._mark).  _chain is the one loop
+of marks along an agent ordering: greedy_fit's minimal prefixes from 0,
+the sweep's certifying pass, and constrained_max's minimal prefixes and
+suffixes.  fitting_orderings walks the same chains over shared ordering
+prefixes.  _mark_table extends them from orderings to agent sets: the
+subset DP of Aumann, Dombb and Hassidim ("Computing socially-efficient
+cake divisions", AAMAS 2013), with marks as the transition, decides Pareto
+optimality in n * 2^(n-1) marks instead of n * n! (ordering, pivot) pairs.
+An exact parametric sweep over a uniform slack parameter, its body in
+integer arithmetic, decides weak Pareto optimality (max_slack).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cake_measure import (
     CakeError,
+    Density,
     Interval,
     InvariantError,
     Problem,
     Rat,
     format_rat,
-    leftmost_mark,
     merge_components,
     parse_list,
     parse_name,
     parse_rat,
-    suffix_mark,
     total,
     value_components,
-    value_piece,
 )
 
 CONNECTED = "connected"
@@ -171,12 +172,11 @@ def check_ef(p: Problem, x: Division, mode: str = CONNECTED,
     """True iff no agent values another agent's piece above its own."""
     if u is None:
         u = utilities(p, x, mode)
+    parts = {b: merge_components(x.piece(b)) for b in x.agents()}
     for a in p.agents:
         d = p.density(a)
-        for b in x.agents():
-            if b == a:
-                continue
-            if value_piece(d, x.piece(b), mode) > u.absolute[a]:
+        for b, merged in parts.items():
+            if b != a and value_components(d, merged, mode) > u.absolute[a]:
                 return False
     return True
 
@@ -209,6 +209,37 @@ def check_esv(p: Problem, divisions: Sequence[Division],
 # Connected-partition feasibility primitives
 
 
+def _steps(p: Problem, agents: Iterable[str], targets: Mapping[str, Rat]
+           ) -> Iterator[tuple[Density, int, int]]:
+    """(density, target numerator, target denominator) for each agent in
+    turn, each target read when its step is taken."""
+    for a in agents:
+        t = targets[a]
+        yield p.density(a), t.numerator, t.denominator
+
+
+def _chain(steps: Iterable[tuple[Density, int, int]], start: tuple[int, int],
+           sign: int = 1) -> Optional[list[tuple[int, int]]]:
+    """Sequential marks on int pairs: each (density, tn, td) step in turn
+    takes its mark from the previous one, starting at start, the leftmost
+    mark (a minimal prefix) for sign 1 and the suffix mark (a minimal
+    suffix, right to left) for sign -1.  Returns the marks, or None at the
+    first that fails.  The steps are read one per mark, so none is read
+    past a failing mark; a negative target is refused (CakeError)."""
+    marks = []
+    xn, xd = start
+    last = sign < 0
+    for d, tn, td in steps:
+        if tn < 0:
+            raise CakeError("targets must be nonnegative")
+        y = d._mark(xn, xd, tn, td, sign, last)
+        if y is None:
+            return None
+        marks.append(y)
+        xn, xd = y
+    return marks
+
+
 def greedy_fit(p: Problem, pi: Sequence[str],
                targets: dict[str, Rat]) -> Optional[tuple[Rat, ...]]:
     """Sequential minimal prefixes along the ordering: each agent in turn
@@ -219,20 +250,11 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     when the targets do not fit.  If this returns None, no connected
     partition in this ordering meets all the targets.  Each target is read
     when its agent's cut is taken, so none is read past a failing mark; a
-    negative one is refused (CakeError).
+    negative one is refused (CakeError).  The loop is _chain's, on int
+    pairs; only the returned cuts are built as Fractions.
     """
-    cuts = []
-    pos = Fraction(0)
-    for a in pi:
-        d = p.density(a)
-        t = targets[a]
-        if t < 0:
-            raise CakeError("targets must be nonnegative")
-        pos = leftmost_mark(d, pos, t)
-        if pos is None:
-            return None
-        cuts.append(pos)
-    return tuple(cuts)
+    cuts = _chain(_steps(p, pi, targets), (0, 1))
+    return None if cuts is None else tuple(Fraction(*y) for y in cuts)
 
 
 def fitting_orderings(p: Problem, target: Callable[[str], Rat]
@@ -253,15 +275,16 @@ def fitting_orderings(p: Problem, target: Callable[[str], Rat]
     """
     dens = dict(zip(p.agents, p.densities))
 
-    def walk(prefix, rest, pos):
+    def walk(prefix, rest, xn, xd):
         if not rest:
             yield prefix
         for i, a in enumerate(rest):
-            y = leftmost_mark(dens[a], pos, target(a))
+            t = target(a)
+            y = dens[a]._mark(xn, xd, t.numerator, t.denominator)
             if y is not None:
-                yield from walk(prefix + (a,), rest[:i] + rest[i + 1:], y)
+                yield from walk(prefix + (a,), rest[:i] + rest[i + 1:], *y)
 
-    return walk((), p.agents, Fraction(0))
+    return walk((), p.agents, 0, 1)
 
 
 def _consecutive(pi: Sequence[str], bounds: Sequence[Rat]) -> Division:
@@ -277,47 +300,24 @@ def division_from_cuts(p: Problem, pi: Sequence[str],
     return _consecutive(pi, [*cuts[:len(pi) - 1], p.cake_length])
 
 
-def _chain_end(step: Callable[[str, Rat], Optional[Rat]], start: Rat):
-    """end(chain): the position reached by taking step(a, position) for each
-    agent a of the chain tuple in turn from start, or None once a step
-    fails; memoised by chain, so chains with a common head share its steps."""
-    ends = {(): start}
-
-    def end(chain):
-        if chain not in ends:
-            pos = end(chain[:-1])
-            ends[chain] = None if pos is None else step(chain[-1], pos)
-        return ends[chain]
-
-    return end
-
-
-def _pivot_chains(p: Problem, targets: dict[str, Rat]):
-    """(left, right): the _chain_end memos of the minimal-prefix chain from 0
-    (leftmost_mark) and of the minimal-suffix chain from the end of the cake
-    (suffix_mark, its agents listed right to left), each agent a taking a
-    piece worth targets[a].  In ordering pi with pivot pi[j], the agents
-    left of the pivot end at left(pi[:j]) and those right of it begin at
-    right(pi[:j:-1]); the pivot's largest piece lies between the two."""
-    left = _chain_end(
-        lambda a, pos: leftmost_mark(p.density(a), pos, targets[a]),
-        Fraction(0))
-    right = _chain_end(
-        lambda a, end: suffix_mark(p.density(a), end, targets[a]),
-        p.cake_length)
-    return left, right
-
-
 def constrained_max(p: Problem, pi: Sequence[str], pivot: str,
                     targets: dict[str, Rat]) -> Optional[Rat]:
     """Maximum value the pivot can get in a connected pi-partition in which
-    every other agent gets at least its target; None if infeasible."""
+    every other agent gets at least its target; None if infeasible.  The
+    agents left of the pivot take minimal prefixes from 0 and those right
+    of it minimal suffixes from the end of the cake (_chain); the pivot's
+    largest piece lies between the two chains."""
     pi = tuple(pi)
     j = pi.index(pivot)
-    left, right = _pivot_chains(p, targets)
-    lo = left(pi[:j])
-    hi = None if lo is None else right(pi[:j:-1])
-    if hi is None or lo > hi:
+    c = p.cake_length
+    left = _chain(_steps(p, pi[:j], targets), (0, 1))
+    right = None if left is None else _chain(
+        _steps(p, pi[:j:-1], targets), (c.numerator, c.denominator), -1)
+    if right is None:
+        return None
+    lo = Fraction(*left[-1]) if left else Fraction(0)
+    hi = Fraction(*right[-1]) if right else c
+    if lo > hi:
         return None
     return p.density(pivot)._between(lo, hi)
 
@@ -361,8 +361,8 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     The chain certifies each step.  When every agent has avail > tval, the
     maximal chain at theta is complete; leftmost marks lie at or before
     maximal marks and are monotone in their start, so the greedy pass would
-    succeed there too.  The greedy pass runs only where the chain gets
-    stuck, once per sweep: failing at start it returns None, failing after
+    succeed there too.  The greedy pass (_chain, on the int targets at
+    theta) runs only where the chain gets stuck, once per sweep: failing at start it returns None, failing after
     a step it raises InvariantError; otherwise theta is the supremum, since
     at any larger theta every leftmost mark lies beyond the stuck chain's
     mark and the stuck agent's strictly larger target no longer fits.
@@ -415,9 +415,9 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
         # at start; a later pass follows a complete first one
         if any(ta * td + tb * tn < 0 for _, ta, tb, *_ in lines[i + 1:]):
             raise CakeError("sweep targets must be nonnegative at start")
-        targets = {agent: a + b * theta
-                   for agent, a, b in zip(pi, alphas, betas)}
-        if greedy_fit(p, pi, targets) is not None:
+        steps = ((d, ta * td + tb * tn, tden * td)
+                 for d, ta, tb, tden, *_ in lines)
+        if _chain(steps, (0, 1)) is not None:
             return theta
         if theta == start:
             return None
@@ -485,44 +485,109 @@ def check_wpo_connected(p: Problem, x: Division,
     return EfficiencyResult(True)
 
 
+def _mark_table(dens: Sequence[Density], targets: Sequence[tuple[int, int]],
+                start: tuple[int, int], sign: int) -> list[Optional[tuple]]:
+    """One mark chain over agent sets, the subset DP under check_po_connected.
+
+    Entry S, a bitmask over the agents' indices (every set but the full
+    one), is (xn, xd, a): xn/xd is the furthest point a chain of the agents
+    of S, in any order, can reach from start, each agent i taking a piece
+    worth targets[i], and a is the agent whose mark reaches it.  For sign 1
+    the chain is minimal prefixes (leftmost marks) and the point the
+    leftmost end; for sign -1 minimal suffixes (suffix marks, right to
+    left) and the rightmost start.  Entry 0 is start itself (with no
+    agent), and an entry is None when no order of S fits.  Marks are
+    monotone in their start, so entry S is the best, over a in S whose
+    entry S - a exists, of a's mark from entry S - a: a failing mark drops
+    that a, and a tie goes to the lowest index a.
+    """
+    table: list = [None] * ((1 << len(dens)) - 1)
+    table[0] = (*start, None)
+    last = sign < 0
+    for s in range(1, len(table)):
+        best = None
+        for a, (d, (tn, td)) in enumerate(zip(dens, targets)):
+            bit = 1 << a
+            if s & bit and (prev := table[s ^ bit]) is not None:
+                y = d._mark(prev[0], prev[1], tn, td, sign, last)
+                if y is not None and (best is None or sign * (
+                        y[0] * best[1] - best[0] * y[1]) < 0):
+                    best = (*y, a)
+        table[s] = best
+    return table
+
+
+def _table_chain(table: list, s: int) -> list[tuple[int, Rat]]:
+    """(agent index, mark) along the back-pointers of entry s of a
+    _mark_table, from the mark that reaches it back to the first."""
+    chain = []
+    while s:
+        xn, xd, a = table[s]
+        chain.append((a, Fraction(xn, xd)))
+        s ^= 1 << a
+    return chain
+
+
 def check_po_connected(p: Problem, x: Division,
                        u: Optional[UtilityVector] = None) -> EfficiencyResult:
     """False iff some connected partition is weakly better for all agents
     and strictly better for at least one (the pivot).
 
-    Tries every (ordering, pivot) pair in permutation order.  The agents
-    left of the pivot take sequential minimal prefixes worth their base
-    utilities and those right of it sequential minimal suffixes
-    (suffix_mark from the end of the cake), which leaves the pivot the
-    largest piece it can get in that ordering.  Both chains come from one
-    memo (_pivot_chains, shared with constrained_max), so left chains are
-    computed once per prefix and right chains once per suffix, and the
-    pivot's value is read from their ends.  Only the first improving pair
-    builds its partition, from the same memo, and the partition is
-    certified: its utilities must give the pivot exactly that value and
-    every agent at least its base utility.  x's utilities may be passed as
-    u, as for check_wpo_connected.
+    A subset DP over agent sets, after Aumann, Dombb and Hassidim (AAMAS
+    2013), with marks as the transition.  In any ordering, the agents left
+    of the pivot j take minimal prefixes worth their base utilities and
+    those right of it minimal suffixes, which leaves the pivot the largest
+    piece it can get in that ordering.  Marks are monotone in their start,
+    so over all orders of the left set S the prefixes end furthest left at
+    f(S), and over all orders of the right set T = N - j - S the suffixes
+    begin furthest right at g(T) (_mark_table, sign 1 and sign -1: n *
+    2^(n-1) marks each instead of a chain per ordering prefix).  The
+    pivot's value of [f(S), g(T)] falls as f(S) rises and as g(T) falls,
+    so j can be strictly improved iff some S has f(S) <= g(T) and
+    value_j[f(S), g(T)] > u_j, that is iff j's maximal mark from f(S)
+    worth u_j lies strictly before g(T): one more mark per (j, S).
+
+    Scan order: pivots in the order of p.agents, then left sets S by
+    increasing bitmask (bit i for p.agents[i]); the first improving (j, S)
+    is reported.  Its ordering is S, then j, then T, each set ordered by
+    the tables' back-pointers (ties to the lower agent index), and its
+    partition gives every agent of S and T exactly its base utility.  The
+    partition is certified: its utilities must give the pivot exactly the
+    value of [f(S), g(T)] and every agent at least its base utility.  x's
+    utilities may be passed as u, as for check_wpo_connected.
     """
     base = (utilities(p, x, CONNECTED) if u is None else u).absolute
-    left, right = _pivot_chains(p, base)
-    for pi in itertools.permutations(p.agents):
-        for j, pivot in enumerate(pi):
-            lo = left(pi[:j])
-            if lo is None:
-                break  # the later pivots' prefixes extend this one
-            hi = right(pi[:j:-1])
-            if hi is None or lo > hi:
+    targets = [(base[a].numerator, base[a].denominator) for a in p.agents]
+    c = p.cake_length
+    left = _mark_table(p.densities, targets, (0, 1), 1)
+    right = _mark_table(p.densities, targets,
+                        (c.numerator, c.denominator), -1)
+    full = (1 << p.n) - 1
+    for j, (d, (tn, td)) in enumerate(zip(p.densities, targets)):
+        rest = full ^ (1 << j)
+        for s in range(rest + 1):
+            if s >> j & 1:
                 continue
-            best = p.density(pivot)._between(lo, hi)
-            if best > base[pivot]:
-                witness = _consecutive(
-                    pi, [left(pi[:i + 1]) for i in range(j)]
-                    + [right(pi[:i:-1]) for i in range(j, p.n)])
-                wu = utilities(p, witness, CONNECTED)
-                if wu.absolute[pivot] != best or not all(
-                        wu.absolute[a] >= base[a] for a in p.agents):
-                    raise InvariantError("PO witness must give the pivot its "
-                                         "constrained maximum and every "
-                                         "agent its base utility")
-                return EfficiencyResult(False, pi, witness, wu)
+            lo, hi = left[s], right[rest ^ s]
+            if lo is None or hi is None or lo[0] * hi[1] >= hi[0] * lo[1]:
+                continue  # an empty or no piece between the chains
+            z = d._mark(lo[0], lo[1], tn, td, 1, True)
+            if z is None or z[0] * hi[1] >= hi[0] * z[1]:
+                continue
+            lefts = _table_chain(left, s)[::-1]
+            rights = _table_chain(right, rest ^ s)
+            pi = tuple(p.agents[i] for i in (*(a for a, _ in lefts), j,
+                                             *(a for a, _ in rights)))
+            bounds = [y for _, y in (*lefts, *rights)] + [c]
+            k = len(lefts)
+            best = d._between(bounds[k - 1] if k else Fraction(0), bounds[k])
+            witness = _consecutive(pi, bounds)
+            wu = utilities(p, witness, CONNECTED)
+            pivot = p.agents[j]
+            if wu.absolute[pivot] != best or not all(
+                    wu.absolute[a] >= base[a] for a in p.agents):
+                raise InvariantError("PO witness must give the pivot its "
+                                     "constrained maximum and every agent "
+                                     "its base utility")
+            return EfficiencyResult(False, pi, witness, wu)
     return EfficiencyResult(True)

@@ -133,7 +133,9 @@ def _exists_verdict(axiom, direction, agents, base, other, sign) -> Monotonicity
     better (sign=+1) or weakly worse (sign=-1) for every compared agent."""
 
     def dominates(u_other, u_base):
-        return all(sign * (u_other[a] - u_base[a]) >= 0 for a in agents)
+        if sign > 0:
+            return all(u_other[a] >= u_base[a] for a in agents)
+        return all(u_other[a] <= u_base[a] for a in agents)
 
     first = None
     for xb, ub in base:

@@ -106,6 +106,23 @@ class TestValidation:
         assert u.absolute == {"A": 2, "B": 0, "C": 2}
         assert len(merged) == len(x.assignments)
 
+    def test_check_ef_merges_each_piece_once(self, monkeypatch):
+        p = no_po_ef()
+        x = Division.of({"A": [iv(0, 1), iv(1, 3)], "B": [iv(5, 6)],
+                         "C": [iv(3, 5), iv(6, 7)]})
+        u = utilities(p, x)
+        merged = []
+
+        def merge(piece):
+            merged.append(piece)
+            return merge_components(piece)
+
+        for module in (cake_measure, divisions):
+            monkeypatch.setattr(module, "merge_components", merge)
+        # envy-free, so every agent values every other piece
+        assert check_ef(p, x, CONNECTED, u)
+        assert len(merged) == len(x.assignments)
+
     def test_json_round_trip(self):
         x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 4)]})
         assert division_from_json(division_to_json(x)) == x
@@ -325,21 +342,22 @@ def jump_cake():
 
 
 class TestSweepSelfCheck:
-    """The sweep's greedy pass, run where the chain of maximal marks gets
-    stuck, made to fail: after a step it must raise, at the start it means
-    the supremum lies below the start.  On jump_cake the sweep from 0
-    steps to the supremum 1/2."""
+    """The sweep's greedy pass (the int mark chain divisions._chain, which
+    greedy_fit wraps), run where the chain of maximal marks gets stuck, made
+    to fail: after a step it must raise, at the start it means the supremum
+    lies below the start.  On jump_cake the sweep from 0 steps to the
+    supremum 1/2."""
 
     LINE = (("A", "B"), [F(0), F(0)], [F(2), F(1)])
 
     def test_failing_pass_after_a_step_raises(self, monkeypatch):
-        monkeypatch.setattr(divisions, "greedy_fit", lambda *args: None)
+        monkeypatch.setattr(divisions, "_chain", lambda *args: None)
         with pytest.raises(InvariantError,
                            match="^sweep stepped to infeasible theta 1/2$"):
             sup_uniform_feasible(jump_cake(), *self.LINE, F(0))
 
     def test_failing_pass_at_start_gives_none(self, monkeypatch):
-        monkeypatch.setattr(divisions, "greedy_fit", lambda *args: None)
+        monkeypatch.setattr(divisions, "_chain", lambda *args: None)
         assert sup_uniform_feasible(jump_cake(), *self.LINE, F(1, 2)) is None
 
     def test_self_check_runs_under_python_O(self):
@@ -347,7 +365,7 @@ class TestSweepSelfCheck:
             "from fractions import Fraction as F\n"
             "from cakecut import divisions\n"
             "from cakecut.cake_measure import InvariantError, problem\n"
-            "divisions.greedy_fit = lambda *args: None\n"
+            "divisions._chain = lambda *args: None\n"
             "p = problem(['A', 'B'], [1, 1, 1], [[1, 0, 1], [0, 1, 0]])\n"
             "line = (p, ('A', 'B'), [F(0), F(0)], [F(2), F(1)])\n"
             "print(divisions.sup_uniform_feasible(*line, F(1, 2)))\n"
@@ -362,14 +380,14 @@ class TestSweepSelfCheck:
         assert out.stdout == "None\nsweep stepped to infeasible theta 1/2\n"
 
     def test_one_greedy_pass_per_sweep(self, monkeypatch):
-        real = divisions.greedy_fit
+        real = divisions._chain
         passes = []
 
         def counted(*args):
             passes.append(args)
             return real(*args)
 
-        monkeypatch.setattr(divisions, "greedy_fit", counted)
+        monkeypatch.setattr(divisions, "_chain", counted)
         p = nash_cake()
         sweeps = 0
         for pi in (("A", "B"), ("B", "A")):
@@ -459,11 +477,16 @@ class TestParetoCheckers:
 
     def test_po_witness_certificate_fires_on_tampered_chains(self,
                                                             monkeypatch):
-        # the right chain claims every suffix is free, so pivot A of (A, B)
-        # seems to get the whole cake while B keeps nothing of its 8
-        real = divisions._pivot_chains
-        monkeypatch.setattr(divisions, "_pivot_chains", lambda p, targets: (
-            real(p, targets)[0], lambda chain: p.cake_length))
+        # the right DP table claims every suffix set begins at the end of
+        # the cake, so pivot A seems to get the whole cake while B keeps
+        # nothing of its 8
+        real = divisions._mark_table
+
+        def tampered(dens, targets, start, sign):
+            table = real(dens, targets, start, sign)
+            return table if sign > 0 else [e and (*start, e[2]) for e in table]
+
+        monkeypatch.setattr(divisions, "_mark_table", tampered)
         p = forced_pair()
         x = Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})
         with pytest.raises(InvariantError, match=self.PO_CERTIFICATE):
@@ -475,9 +498,12 @@ class TestParetoCheckers:
             "from cakecut.cake_measure import InvariantError, problem\n"
             "from cakecut.divisions import Division, check_po_connected\n"
             "from cakecut.cake_measure import Interval\n"
-            "real = divisions._pivot_chains\n"
-            "divisions._pivot_chains = lambda p, t: (\n"
-            "    real(p, t)[0], lambda chain: p.cake_length)\n"
+            "real = divisions._mark_table\n"
+            "def tampered(dens, targets, start, sign):\n"
+            "    table = real(dens, targets, start, sign)\n"
+            "    return table if sign > 0 else [\n"
+            "        e and (*start, e[2]) for e in table]\n"
+            "divisions._mark_table = tampered\n"
             "p = problem(['A', 'B'], [1] * 4, [[6, 0, 1, 1], [0, 4, 2, 2]])\n"
             "x = Division.of({'A': [Interval(0, 1)], 'B': [Interval(1, 4)]})\n"
             "try:\n"

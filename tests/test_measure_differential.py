@@ -18,7 +18,7 @@ import random
 from fractions import Fraction as F
 from functools import cache
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,7 +277,40 @@ def test_marks_match_reference(name):
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel's composite entries: the sweep step and value
+# The integer kernel's entries: the mark entry, the sweep step and value
+
+MARK_KINDS = {"leftmost_mark": (1, False), "maximal_mark": (1, True),
+              "suffix_mark": (-1, True)}
+
+
+def mark_entry(sign, last):
+    """Density._mark on the numerators and denominators of the point and
+    the target, its pair required to be ints in lowest terms over a
+    positive denominator and built as the Fraction the reference returns."""
+    def mark(d, x, t):
+        y = Density._mark(d, x.numerator, x.denominator, t.numerator,
+                          t.denominator, sign, last)
+        if y is None:
+            return None
+        num, den = y
+        if (type(num) is not int or type(den) is not int or den <= 0
+                or gcd(num, den) != 1):
+            raise TypeError(f"mark must be ints in lowest terms: {y}")
+        return F(num, den)
+    return mark
+
+
+@pytest.mark.parametrize("name", list(MARK_KINDS))
+def test_mark_entry_matches_reference(name):
+    entry, ref = mark_entry(*MARK_KINDS[name]), MARK_FUNCTIONS[name][1]
+    mismatches = []
+    for d, _, pairs in corpus():
+        for x, t in pairs:
+            got, want = _outcome(entry, d, x, t), _outcome(ref, d, x, t)
+            if got != want:
+                mismatches.append((d, x, t, got, want))
+    assert not mismatches, mismatches[:5]
+
 
 
 def ref_sweep_step(d, pos, target):

@@ -268,9 +268,21 @@ PO_COUNTEREXAMPLES = [(name, cake) for (name, column), cake
 
 
 def assert_po_matches_enumerator(p, x):
+    """The DP's verdict equals the enumerator's.  Its witness may be another
+    improving pair than the enumerator's first, so on FAIL the witness must
+    be the constrained partition of the reported ordering for its one
+    strictly improved agent (every other agent gets exactly its base
+    utility there), valued as utilities values it."""
     result = check_po_connected(p, x)
-    assert (result.ok, result.ordering, result.witness,
-            result.witness_utilities) == enumerated_po(p, x)
+    assert result.ok == enumerated_po(p, x)[0]
+    if not result.ok:
+        base = utilities(p, x, CONNECTED).absolute
+        wu = result.witness_utilities
+        assert wu == utilities(p, result.witness, CONNECTED)
+        pivot, = [a for a in p.agents if wu.absolute[a] > base[a]]
+        targets = {a: base[a] for a in p.agents if a != pivot}
+        assert result.witness == constrained_partition(
+            p, result.ordering, pivot, targets)[1]
     return result.ok
 
 
@@ -287,6 +299,50 @@ def test_check_po_connected_matches_enumerator_on_counterexamples(name, cake):
     p = cake()
     for x in get_rule(name).run(p).divisions:
         assert not assert_po_matches_enumerator(p, x)
+
+
+def _tie_heavy_problem(rng, n):
+    """n agents on 8 slices sharing one base row of densities 1..9, each
+    with its own zero stretch, so many orderings tie."""
+    k = 8
+    lengths = [rng.choice([F(1), F(1, 2), F(2), F(3, 2)]) for _ in range(k)]
+    base = [F(rng.randint(1, 9)) for _ in range(k)]
+    rows = []
+    for _ in range(n):
+        row = list(base)
+        run = rng.randint(1, 2)
+        start = rng.randrange(k - run + 1)
+        row[start:start + run] = [F(0)] * run
+        rows.append(row)
+    return problem("ABCDEF"[:n], lengths, rows)
+
+
+TIE_HEAVY = [5, 5, 6, 6]
+
+
+@lru_cache(maxsize=None)
+def tie_heavy_corpus():
+    rng = random.Random(SEED + 2)
+    return [_tie_heavy_problem(rng, n) for n in TIE_HEAVY]
+
+
+def _tie_heavy_inputs(p):
+    for mode in (RELATIVE, ABSOLUTE):
+        yield max_equitable(p, mode).divisions[0]
+    yield exact_proportional(p)
+
+
+@pytest.mark.parametrize("index", range(len(TIE_HEAVY)),
+                         ids=[f"n{n}-{i}" for i, n in enumerate(TIE_HEAVY)])
+def test_check_po_connected_matches_enumerator_on_tie_heavy_cakes(index):
+    p = tie_heavy_corpus()[index]
+    for x in _tie_heavy_inputs(p):
+        assert_po_matches_enumerator(p, x)
+
+
+def test_tie_heavy_cakes_reach_both_po_verdicts():
+    assert {check_po_connected(p, x).ok for p in tie_heavy_corpus()
+            for x in _tie_heavy_inputs(p)} == {True, False}
 
 
 SMALL_CASES = [i for i in CASES if corpus()[i].n <= 4]
