@@ -42,10 +42,18 @@ class Interval:
     hi: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _rat(self.lo))
-        object.__setattr__(self, "hi", _rat(self.hi))
-        if self.lo.numerator < 0 or self.lo > self.hi:
-            raise CakeError(f"bad interval [{self.lo}, {self.hi}]")
+        # the library builds most intervals from ends it already holds as
+        # Fractions: those skip _rat, and the ends compare as ints
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = _rat(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = _rat(hi)
+            object.__setattr__(self, "hi", hi)
+        if (lo.numerator < 0
+                or lo.numerator * hi.denominator > hi.numerator * lo.denominator):
+            raise CakeError(f"bad interval [{lo}, {hi}]")
 
     @property
     def empty(self) -> bool:
@@ -417,25 +425,39 @@ def problem(agents: Sequence[str], lengths: Sequence, rows: Sequence[Sequence]) 
     return Problem(tuple(agents), grid, dens)
 
 
+def enlargement(p: Problem, extra_lengths: Sequence,
+                extra_rows: dict[str, Sequence]
+                ) -> tuple[tuple[Rat, ...], dict[str, tuple[Rat, ...]]]:
+    """The enlargement as append reads it: the extra lengths, and each
+    agent's extra densities in p's agent order, as tuples of Fractions, in
+    new containers; no rows when there are no extra slices.  Raises
+    CakeError when the rows do not cover exactly p's agents or do not match
+    the lengths; SliceGrid and Density check the values when append builds
+    them."""
+    extra_lengths = tuple(_rat(x) for x in extra_lengths)
+    if not extra_lengths:
+        return extra_lengths, {}
+    if set(extra_rows) != set(p.agents):
+        raise CakeError("enlargement must cover exactly the same agents")
+    for row in extra_rows.values():
+        if len(row) != len(extra_lengths):
+            raise CakeError("enlargement density/slice count mismatch")
+    return extra_lengths, {a: tuple(_rat(x) for x in extra_rows[a])
+                           for a in p.agents}
+
+
 def append(p: Problem, extra_lengths: Sequence, extra_rows: dict[str, Sequence]) -> Problem:
     """Enlarge the cake by appending slices on the right.
 
     extra_rows maps each agent name to its densities on the appended slices.
     Values of all intervals inside the original cake are unchanged.
     """
-    extra_lengths = tuple(_rat(x) for x in extra_lengths)
+    extra_lengths, extra_rows = enlargement(p, extra_lengths, extra_rows)
     if not extra_lengths:
         return p
-    if set(extra_rows) != set(p.agents):
-        raise CakeError("enlargement must cover exactly the same agents")
-    for row in extra_rows.values():
-        if len(row) != len(extra_lengths):
-            raise CakeError("enlargement density/slice count mismatch")
     grid = SliceGrid(p.grid.lengths + extra_lengths)
-    dens = tuple(
-        Density(grid, d.values + tuple(_rat(x) for x in extra_rows[a]))
-        for a, d in zip(p.agents, p.densities)
-    )
+    dens = tuple(Density(grid, d.values + extra_rows[a])
+                 for a, d in zip(p.agents, p.densities))
     return Problem(p.agents, grid, dens)
 
 

@@ -19,8 +19,9 @@ integer arithmetic, decides weak Pareto optimality (max_slack).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -126,11 +127,20 @@ def division_to_json(x: Division) -> list:
 
 @dataclass
 class UtilityVector:
-    """Absolute and relative piece values per agent, under a utility mode."""
+    """Absolute and relative piece values per agent, under a utility mode.
+    relative (absolute[a] / total(a) on problem's densities) is derived
+    when first read; equality compares the mode and the absolute values,
+    which fix the relative ones on one problem."""
 
     mode: str
     absolute: dict[str, Rat]
-    relative: dict[str, Rat]
+    problem: Problem = field(repr=False, compare=False)
+
+    @cached_property
+    def relative(self) -> dict[str, Rat]:
+        p = self.problem
+        return {a: self.absolute[a] / total(d)
+                for a, d in zip(p.agents, p.densities)}
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,7 @@ def utilities(p: Problem, x: Division, mode: str = CONNECTED) -> UtilityVector:
     components = validate_division(p, x)
     absolute = {a: value_components(d, components.get(a, ()), mode)
                 for a, d in zip(p.agents, p.densities)}
-    relative = {a: u / total(p.density(a)) for a, u in absolute.items()}
-    return UtilityVector(mode, absolute, relative)
+    return UtilityVector(mode, absolute, p)
 
 
 def partition_stats(p: Problem, x: Division, value_mode: str,

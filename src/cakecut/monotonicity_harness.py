@@ -22,6 +22,7 @@ from .cake_measure import (
     Problem,
     Rat,
     append,
+    enlargement,
     merge_components,
     problem,
     remove_agent,
@@ -107,25 +108,56 @@ class MonotonicityVerdict:
 
 
 def _run(rule: Rule, p: Problem) -> list[tuple[Division, dict[str, Rat]]]:
-    return [(x, utilities(p, x, rule.mode).absolute)
-            for x in rule.run(p).divisions]
+    """Each division of the rule's output set with its absolute utilities,
+    one dict per division: a copy of the output's certified vector when the
+    rule hands one over (the equitable rules), else the division valued."""
+    out = rule.run(p)
+    if out.utilities is not None:
+        return [(x, dict(out.utilities)) for x in out.divisions]
+    return [(x, utilities(p, x, rule.mode).absolute) for x in out.divisions]
 
 
-# One-slot memo of _run on the base problem of check_rm and check_pm: the
-# most recent base problem, held strongly so that its id cannot be reused
-# while it sits here, and each rule's outputs on it, stored immutably.
-# check_rm followed by check_pm on the same problem runs each rule once.
-_base = [None, {}]
+# One-slot memo of the base problem of check_rm and check_pm: [the most
+# recent base problem, held strongly so that its id cannot be reused while
+# it sits here; each rule's outputs on it, stored immutably; its most
+# recent enlargement, normalised by cake_measure.enlargement into new
+# containers that the caller's lists cannot change; append's result on
+# it].  An enlargement is stored only once append has built it, so an
+# invalid one raises on every call.
+#
+# check_rm then check_pm on one problem runs each rule once on it, and
+# check_rm of several rules on one problem and an equal enlargement runs
+# them all on one enlarged cake, whose densities build their integer
+# kernels once.  The memo fills on a property of the calls, not of a
+# caller: one that checks several rules on each problem and enlargement
+# gains (the bench's monotonicity workload checks 7-9); compute_grid,
+# which builds fresh cakes for each rule, and callers that never call
+# check_rm gain nothing.
+_base: list = [None, {}, None, None]
+
+
+def _memo(p: Problem) -> list:
+    if _base[0] is not p:
+        _base[:] = [p, {}, None, None]
+    return _base
 
 
 def _run_base(rule: Rule, p: Problem
               ) -> tuple[tuple[Division, Mapping[str, Rat]], ...]:
-    if _base[0] is not p:
-        _base[:] = [p, {}]
-    runs = _base[1]
+    runs = _memo(p)[1]
     if rule not in runs:
         runs[rule] = tuple((x, MappingProxyType(u)) for x, u in _run(rule, p))
     return runs[rule]
+
+
+def _enlarged(p: Problem, extra_lengths, extra_rows) -> Problem:
+    """append(p, extra_lengths, extra_rows), the memo's problem when the
+    enlargement equals p's most recent one."""
+    memo = _memo(p)
+    extra = enlargement(p, extra_lengths, extra_rows)
+    if memo[2] != extra:
+        memo[2:] = [extra, append(p, *extra)]
+    return memo[3]
 
 
 def _exists_verdict(axiom, direction, agents, base, other, sign) -> MonotonicityVerdict:
@@ -155,9 +187,10 @@ def _exists_verdict(axiom, direction, agents, base, other, sign) -> Monotonicity
 def check_rm(name: str, p: Problem, extra_lengths,
              extra_rows) -> list[MonotonicityVerdict]:
     """Resource-monotonicity of the registered rule name, both directions,
-    for a right-append enlargement."""
+    for a right-append enlargement; the base run and the enlarged cake come
+    from the one-slot memo (_base) when it holds them."""
     rule = get_rule(name)
-    big = append(p, extra_lengths, extra_rows)
+    big = _enlarged(p, extra_lengths, extra_rows)
     small_out = _run_base(rule, p)
     # an empty enlargement returns p itself
     big_out = small_out if big is p else _run(rule, big)

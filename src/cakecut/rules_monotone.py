@@ -34,7 +34,8 @@ from .rules_classic import lowest_mark_rounds
 
 @dataclass(frozen=True)
 class EquitableResult:
-    """Connected partition in an ordering whose pieces all equal v_pi."""
+    """Connected partition in an ordering whose pieces all equal v_pi,
+    as equitable_for_ordering builds and certifies it."""
 
     ordering: tuple[str, ...]
     cuts: tuple[Rat, ...]
@@ -45,17 +46,23 @@ class EquitableResult:
         return division_from_cuts(p, self.ordering, self.cuts)
 
     def output(self, p: Problem) -> RuleOutput:
-        return RuleOutput([self.division(p)], self.value)
+        return RuleOutput([self.division(p)], self.value,
+                          utilities=_equal_utilities(p, self.mode, self.value))
 
 
 @dataclass
 class RuleOutput:
-    """A rule's output set; the equitable rules add the common value and,
-    maximised over orderings, the argmax ordering of each division."""
+    """A rule's output set; the equitable rules add the common value, the
+    absolute utility vector every division of the set gives (value *
+    scale_a, certified by equitable_for_ordering) and, maximised over
+    orderings, the argmax ordering of each division.  utilities is None
+    when the rule does not know it; utilities(p, x, mode).absolute values
+    each division then."""
 
     divisions: list[Division]
     value: Optional[Rat] = None
     orderings: Optional[list[tuple[str, ...]]] = None
+    utilities: Optional[dict[str, Rat]] = None
 
 
 def _scales(p: Problem, mode: str) -> dict[str, Rat]:
@@ -64,6 +71,11 @@ def _scales(p: Problem, mode: str) -> dict[str, Rat]:
     if mode == ABSOLUTE:
         return {a: Fraction(1) for a in p.agents}
     raise CakeError(f"unknown value mode {mode!r}")
+
+
+def _equal_utilities(p: Problem, mode: str, v: Rat) -> dict[str, Rat]:
+    """Absolute utilities of an equitable division at the value v."""
+    return {a: v * s for a, s in _scales(p, mode).items()}
 
 
 def _proportional_floor(p: Problem, scale: dict[str, Rat]) -> Rat:
@@ -197,7 +209,9 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     one.  Each ordering it yields is swept from the floor, which returns
     None for one that no longer reaches it.  Each winner's division is
     built at the best value, and its slides certify that value (see
-    equitable_for_ordering), so a wrong sweep value raises InvariantError.
+    equitable_for_ordering), so a wrong sweep value raises InvariantError;
+    each division's pieces are checked to be worth best * scale_a, which is
+    the output's one utility vector.
     """
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
@@ -216,4 +230,5 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
         raise CakeError("no ordering reaches the proportional bound")
     divisions = [equitable_for_ordering(p, pi, mode, best).division(p)
                  for pi in winners]
-    return RuleOutput(divisions, best, winners)
+    return RuleOutput(divisions, best, winners,
+                      utilities=_equal_utilities(p, mode, best))

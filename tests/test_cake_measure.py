@@ -41,6 +41,52 @@ ALICE = dens([1] * 6, [F(5, 2), 0, 2, 2, 0, 0])
 BOB = dens([1] * 6, [1, 1, 0, 0, 1, 1])
 
 
+class TestInterval:
+    """Fraction ends are kept as given; other ends normalise through
+    Fraction; a negative lo or reversed ends raise one CakeError."""
+
+    def test_fraction_ends_kept(self):
+        lo, hi = F(1, 3), F(5, 2)
+        i = Interval(lo, hi)
+        assert i.lo is lo and i.hi is hi
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (1, 3, (F(1), F(3))),
+        ("1/2", "3/2", (F(1, 2), F(3, 2))),
+        ("2", F(7, 3), (F(2), F(7, 3))),
+        (0, "0", (F(0), F(0))),
+    ], ids=["ints", "p/q-strings", "mixed", "empty"])
+    def test_other_ends_normalise(self, lo, hi, want):
+        i = Interval(lo, hi)
+        assert (i.lo, i.hi) == want
+        assert type(i.lo) is F and type(i.hi) is F
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-1, 2, "bad interval [-1, 2]"),
+        (F(-1, 3), F(1, 3), "bad interval [-1/3, 1/3]"),
+        ("-1/2", "0", "bad interval [-1/2, 0]"),
+        (3, 1, "bad interval [3, 1]"),
+        (F(2, 3), F(3, 5), "bad interval [2/3, 3/5]"),
+        ("5/4", 1, "bad interval [5/4, 1]"),
+    ], ids=["negative-int", "negative-fraction", "negative-string",
+            "reversed-ints", "reversed-fractions", "reversed-mixed"])
+    def test_bad_ends_raise(self, lo, hi, message):
+        with pytest.raises(CakeError) as e:
+            Interval(lo, hi)
+        assert str(e.value) == message
+
+    def test_order_by_cross_multiplication(self):
+        # 3/5 < 2/3 < 5/7: the int comparison agrees with Fraction's
+        ends = [F(3, 5), F(2, 3), F(5, 7), F(7, 7)]
+        for lo in ends:
+            for hi in ends:
+                if lo <= hi:
+                    assert Interval(lo, hi).empty == (lo == hi)
+                else:
+                    with pytest.raises(CakeError):
+                        Interval(lo, hi)
+
+
 class TestValue:
     def test_totals(self):
         assert total(ALICE) == F(13, 2)

@@ -42,7 +42,9 @@ from cakecut.divisions import (
     validate_division,
 )
 
-from test_pruned_search import mark_chain
+from cakecut.rules_monotone import exact_proportional, max_equitable
+
+from test_pruned_search import corpus, mark_chain
 
 
 def iv(lo, hi):
@@ -90,6 +92,29 @@ class TestValidation:
         x = Division.of({"A": [iv(0, 1)]})
         u = utilities(p, x)
         assert u.absolute["B"] == 0
+
+    def test_relative_derived_on_first_read(self):
+        p = no_po_ef()
+        x = Division.of({"A": [iv(0, 1), iv(1, 2)], "C": [iv(3, 5)]})
+        u = utilities(p, x)
+        assert "relative" not in vars(u)
+        assert u.relative == {a: u.absolute[a] / cake_measure.total(d)
+                              for a, d in zip(p.agents, p.densities)}
+        assert u.relative == {"A": F(2, 7), "B": 0, "C": F(2, 7)}
+        assert u.relative is u.relative
+
+    def test_relative_over_a_corpus(self):
+        for p in corpus():
+            out = max_equitable(p, RELATIVE)
+            totals = {a: sum(v * length for v, length
+                             in zip(d.values, p.grid.lengths))
+                      for a, d in zip(p.agents, p.densities)}
+            for x in out.divisions:
+                u = utilities(p, x)
+                assert u.relative == {a: u.absolute[a] / totals[a]
+                                      for a in p.agents}
+                # each relative-equitable piece is worth the rule's value
+                assert set(u.relative.values()) == {out.value}
 
     def test_utilities_merges_each_piece_once(self, monkeypatch):
         merged = []
@@ -173,6 +198,19 @@ class TestAxioms:
         assert nash_product(p, x) == 40
         empty = Division.of({"A": [], "B": [iv(0, 6)]})
         assert nash_product(p, empty) == 0
+
+    def test_esv_compares_the_whole_vectors(self):
+        """check_esv agrees with comparing each division's absolute and
+        relative utilities, on equal sets (the relative-equitable
+        outputs) and on sets that add the exact-proportional division."""
+        for p in corpus():
+            equal = max_equitable(p, RELATIVE).divisions
+            for xs in (equal, equal + [exact_proportional(p)]):
+                vectors = [(u.absolute, u.relative)
+                           for u in (utilities(p, x) for x in xs)]
+                assert check_esv(p, xs) == all(v == vectors[0]
+                                               for v in vectors)
+            assert check_esv(p, equal)
 
     def test_esv(self):
         p = nash_cake()

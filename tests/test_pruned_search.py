@@ -131,6 +131,9 @@ def test_max_equitable_matches_enumerator(index, mode):
     assert out.orderings == winners
     assert out.divisions == [equitable_for_ordering(p, pi, mode).division(p)
                              for pi in winners]
+    # the one certified vector is every division's valued utilities
+    assert all(utilities(p, x).absolute == out.utilities
+               for x in out.divisions)
     assert out.value >= proportional_bound(p, mode)
 
 

@@ -34,6 +34,8 @@ from cakecut.rules_monotone import (
     rightmost_mark_rule,
 )
 
+from cakecut.monotonicity_harness import get_rule
+
 from test_pruned_search import corpus
 
 
@@ -183,6 +185,20 @@ class TestMaxEquitable:
         ab = max_equitable(big, ABSOLUTE)
         assert ab.value == F(222, 11)
 
+    def test_outputs_carry_the_one_utility_vector(self):
+        p, big = equitable_drop_pair()
+        assert max_equitable(p, RELATIVE).utilities == {"A": 20, "B": 20}
+        assert max_equitable(big, RELATIVE).utilities == {"A": 21, "B": 12}
+        assert max_equitable(big, ABSOLUTE).utilities == {
+            "A": F(222, 11), "B": F(222, 11)}
+        for pi in (("A", "B"), ("B", "A")):
+            for mode in (RELATIVE, ABSOLUTE):
+                out = equitable_for_ordering(big, pi, mode).output(big)
+                assert out.utilities == utilities(
+                    big, out.divisions[0]).absolute
+        # the other rules leave the valuation to the caller
+        assert get_rule("exact-proportional").run(p).utilities is None
+
     def test_three_agent_envy_cake(self):
         # max relative-equitable value 2/5; the losing agent C values A's
         # right piece at 3/5 > 2/5, so the output is not envy-free
@@ -233,6 +249,45 @@ class TestSelfChecks:
         assert out.stdout == (
             "value 600001/1000000 is above the ordering's value\n"
             "value 599999/1000000 is below the ordering's value\n")
+
+    def test_certified_utilities_under_python_O(self):
+        """RuleOutput.utilities is handed over unvalued, so the value its
+        divisions are built at must be certified without asserts: on a
+        cake with several argmax orderings, the output's vector is each
+        division's valued utilities, and a value a millionth above or
+        below the sweep's, handed to equitable_for_ordering, raises."""
+        code = (
+            "from fractions import Fraction\n"
+            "from cakecut import rules_monotone as rm\n"
+            "from cakecut.cake_measure import InvariantError, problem\n"
+            "from cakecut.divisions import utilities\n"
+            "real = rm.equitable_for_ordering\n"
+            "p = problem(['A', 'B', 'C'], [1] * 4,\n"
+            "            [[0, 2, 0, 1], [0, 1, 0, 0], [1, 2, 1, 1]])\n"
+            "for mode in ('relative', 'absolute'):\n"
+            "    out = rm.max_equitable(p, mode)\n"
+            "    print(len(out.orderings), all(\n"
+            "        utilities(p, x).absolute == out.utilities\n"
+            "        for x in out.divisions))\n"
+            "    for skew in (Fraction(1, 10**6), -Fraction(1, 10**6)):\n"
+            "        rm.equitable_for_ordering = (\n"
+            "            lambda q, pi, m, v: real(q, pi, m, v + skew))\n"
+            "        try:\n"
+            "            rm.max_equitable(p, mode)\n"
+            "        except InvariantError as e:\n"
+            "            print(e)\n"
+            "    rm.equitable_for_ordering = real\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == (
+            "3 True\n"
+            "value 400001/1000000 is above the ordering's value\n"
+            "value 399999/1000000 is below the ordering's value\n"
+            "2 True\n"
+            "value 1000001/1000000 is above the ordering's value\n"
+            "value 999999/1000000 is below the ordering's value\n")
 
     @pytest.mark.parametrize("mode", [RELATIVE, ABSOLUTE])
     def test_value_off_by_a_millionth_raises(self, mode):
