@@ -144,9 +144,11 @@ class Density:
     floor(goal * K) with P, which is exact for the same reason as point
     lookups on the grid, and returns the first or the last point where the
     prefix value reaches it.  ``_mark`` is the one mark entry: int pairs in,
-    a normalised int pair out, which the library's mark chains carry from
-    mark to mark.  Each public result is built from these ints as one
-    normalised Fraction.
+    a normalised int pair out, which the library's mark chains and the
+    classic protocols carry from mark to mark; ``_value`` is the one value
+    entry, int pairs in, an unreduced int pair out, which the protocols and
+    piece valuation compare by cross-multiplication.  Each public result is
+    built from these ints as one normalised Fraction.
     """
 
     grid: SliceGrid
@@ -244,14 +246,22 @@ class Density:
         r = gcd(yn, yd)
         return yn // r, yd // r
 
-    def _between(self, lo: Rat, hi: Rat) -> Optional[Rat]:
-        """Value of [lo, hi] for 0 <= lo <= hi, or None when hi > c."""
-        top = self._prefix(hi.numerator, hi.denominator)
+    def _value(self, an: int, ad: int, bn: int,
+               bd: int) -> Optional[tuple[int, int]]:
+        """Value entry on int pairs: value[a, b] for a = an/ad and b =
+        bn/bd (both denominators positive, 0 <= a <= b) as a pair over a
+        positive denominator, not reduced, or None when b > c."""
+        top = self._prefix(bn, bd)
         if top is None:
             return None
-        ld, hd = lo.denominator, hi.denominator
-        bottom = self._prefix(lo.numerator, ld)[1]
-        return Fraction(top[1] * ld - bottom * hd, self.scaled[0] * ld * hd)
+        bottom = self._prefix(an, ad)[1]
+        return top[1] * ad - bottom * bd, self.scaled[0] * ad * bd
+
+    def _between(self, lo: Rat, hi: Rat) -> Optional[Rat]:
+        """Value of [lo, hi] for 0 <= lo <= hi, or None when hi > c."""
+        v = self._value(lo.numerator, lo.denominator, hi.numerator,
+                        hi.denominator)
+        return None if v is None else Fraction(*v)
 
     def _sweep_step(self, pos: Rat, tn: int, td: int):
         """One agent's step of the parametric sweep for the target tn/td
@@ -297,12 +307,24 @@ def total(d: Density) -> Rat:
     return d._total
 
 
-def value(d: Density, iv: Interval) -> Rat:
-    """Exact integral of the step density over the interval."""
-    v = d._between(iv.lo, iv.hi)
+def total_pair(d: Density) -> tuple[int, int]:
+    """total as an int pair over a positive denominator."""
+    m, p, _ = d.scaled
+    return p[-1], m
+
+
+def value_pair(d: Density, iv: Interval) -> tuple[int, int]:
+    """value as an int pair over a positive denominator, not reduced."""
+    lo, hi = iv.lo, iv.hi
+    v = d._value(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
     if v is None:
         raise CakeError(f"interval {iv} outside cake")
     return v
+
+
+def value(d: Density, iv: Interval) -> Rat:
+    """Exact integral of the step density over the interval."""
+    return Fraction(*value_pair(d, iv))
 
 
 def merge_components(piece: Iterable[Interval]) -> list[Interval]:
@@ -310,12 +332,15 @@ def merge_components(piece: Iterable[Interval]) -> list[Interval]:
     parts = sorted((iv for iv in piece if not iv.empty), key=lambda iv: iv.lo)
     merged: list[Interval] = []
     for iv in parts:
-        if merged and iv.lo < merged[-1].hi:
-            raise CakeError("overlapping intervals in piece")
-        if merged and iv.lo == merged[-1].hi:
-            merged[-1] = Interval(merged[-1].lo, iv.hi)
-        else:
-            merged.append(iv)
+        if merged:
+            lo, hi = iv.lo, merged[-1].hi
+            gap = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+            if gap < 0:
+                raise CakeError("overlapping intervals in piece")
+            if gap == 0:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
+                continue
+        merged.append(iv)
     return merged
 
 
@@ -330,11 +355,27 @@ def value_piece(d: Density, piece: Iterable[Interval], mode: str) -> Rat:
 
 def value_components(d: Density, parts: Iterable[Interval], mode: str) -> Rat:
     """value_piece of a piece already merged by merge_components."""
-    vals = [value(d, iv) for iv in parts]
+    return Fraction(*value_components_pair(d, parts, mode))
+
+
+def value_components_pair(d: Density, parts: Iterable[Interval],
+                          mode: str) -> tuple[int, int]:
+    """value_components as an int pair over a positive denominator, not
+    reduced: the best component (compared by cross-multiplication) in
+    connected mode, the sum in additive mode.  Every part is valued before
+    the mode is read."""
+    vals = [value_pair(d, iv) for iv in parts]
     if mode == "connected":
-        return max(vals, default=Fraction(0))
+        best = 0, 1
+        for v in vals:
+            if v[0] * best[1] > best[0] * v[1]:
+                best = v
+        return best
     if mode == "additive":
-        return sum(vals, Fraction(0))
+        num, den = 0, 1
+        for vn, vd in vals:
+            num, den = num * vd + vn * den, den * vd
+        return num, den
     raise CakeError(f"unknown utility mode {mode!r}")
 
 

@@ -39,6 +39,7 @@ from .cake_measure import (
     parse_rat,
     total,
     value_components,
+    value_components_pair,
 )
 
 CONNECTED = "connected"
@@ -74,19 +75,25 @@ def validate_division(p: Problem, x: Division) -> dict[str, list[Interval]]:
     returns each agent's piece merged into its connected components."""
     if set(x.agents()) - set(p.agents):
         raise CakeError("division mentions unknown agents")
+    c = p.cake_length
+    cn, cd = c.numerator, c.denominator
     components: dict[str, list[Interval]] = {}
     all_parts = []
     for a, ivs in x.assignments:
         for iv in ivs:
-            if iv.hi > p.cake_length:
+            hi = iv.hi
+            if hi.numerator * cd > cn * hi.denominator:
                 raise CakeError(f"interval {iv} outside cake")
         merged = merge_components(ivs)
         components.setdefault(a, merged)  # x.piece(a) is a's first entry
         all_parts.extend(merged)
-    all_parts.sort(key=lambda iv: (iv.lo, iv.hi))
+    # parts are nonempty, so two with equal left ends overlap, whichever
+    # comes first; the ends compare by cross-multiplied ints
+    all_parts.sort(key=lambda iv: iv.lo)
     for a, b in zip(all_parts, all_parts[1:]):
-        if b.lo < a.hi:
-            raise CakeError(f"pieces overlap near {b.lo}")
+        lo, hi = b.lo, a.hi
+        if lo.numerator * hi.denominator < hi.numerator * lo.denominator:
+            raise CakeError(f"pieces overlap near {lo}")
     return components
 
 
@@ -185,8 +192,11 @@ def check_ef(p: Problem, x: Division, mode: str = CONNECTED,
     for a in p.agents:
         d = p.density(a)
         for b, merged in parts.items():
-            if b != a and value_components(d, merged, mode) > u.absolute[a]:
-                return False
+            if b != a:
+                vn, vd = value_components_pair(d, merged, mode)
+                own = u.absolute[a]
+                if vn * own.denominator > own.numerator * vd:
+                    return False
     return True
 
 

@@ -8,6 +8,11 @@ index.  Banach-Knaster and Dubins-Spanier thresholds renormalize to the
 remaining cake (value of the remaining cake divided by the number of
 remaining agents).  Dubins-Spanier and exact-proportional (rules_monotone)
 run the same lowest-mark round loop, lowest_mark_rounds.
+
+Every protocol runs on the measure kernel's int-pair entries, Density._mark
+and Density._value: starts, shares, targets and values are int pairs over
+positive denominators, compared by cross-multiplication, and a Fraction is
+built for each end of an output interval.
 """
 
 from __future__ import annotations
@@ -22,16 +27,27 @@ from .cake_measure import (
     InvariantError,
     Problem,
     Rat,
-    leftmost_mark,
     merge_components,
-    total,
+    total_pair,
     value,
-    value_components,
-    value_piece,
+    value_components_pair,
+    value_pair,
 )
 from .divisions import ADDITIVE, Division
 
 Piece = list[Interval]
+Pair = tuple[int, int]
+
+
+def _above(a: Pair, b: Pair) -> bool:
+    """a > b for int pairs over positive denominators."""
+    return a[0] * b[1] > b[0] * a[1]
+
+
+def _end(p: Problem) -> Pair:
+    """The cake's right end c as an int pair."""
+    c = p.cake_length
+    return c.numerator, c.denominator
 
 
 def split_equal(d: Density, piece: Sequence[Interval], k: int) -> list[Piece]:
@@ -39,26 +55,29 @@ def split_equal(d: Density, piece: Sequence[Interval], k: int) -> list[Piece]:
     sweeping minimal prefixes left to right; the last part absorbs any
     worthless remainder."""
     comps = merge_components(piece)
-    target = value_components(d, comps, ADDITIVE) / k
+    tn, td = value_components_pair(d, comps, ADDITIVE)
+    td *= k
     parts: list[Piece] = []
     idx = 0
     pos = comps[0].lo if comps else None
     for _ in range(k - 1):
-        need = target
+        nn, nd = tn, td  # the value still needed for this part
         cur: Piece = []
         while True:
             iv = comps[idx]
-            avail = value(d, Interval(pos, iv.hi))
-            if avail >= need:
-                m = leftmost_mark(d, pos, need)
-                if m > pos:
+            pn, pd = pos.numerator, pos.denominator
+            an, ad = d._value(pn, pd, iv.hi.numerator, iv.hi.denominator)
+            if an * nd >= nn * ad:
+                mn, md = d._mark(pn, pd, nn, nd)
+                if mn * pd > pn * md:
+                    m = Fraction(mn, md)
                     cur.append(Interval(pos, m))
-                pos = m
+                    pos = m
                 if pos == iv.hi and idx + 1 < len(comps):
                     idx += 1
                     pos = comps[idx].lo
                 break
-            need -= avail
+            nn, nd = nn * ad - an * nd, nd * ad
             if pos < iv.hi:
                 cur.append(Interval(pos, iv.hi))
             idx += 1
@@ -76,9 +95,13 @@ def split_equal(d: Density, piece: Sequence[Interval], k: int) -> list[Piece]:
 def _pick_rightmost_best(d: Density, parts: list[Piece],
                          candidates: Sequence[int]) -> int:
     """Index of the additively-best part, rightmost among ties."""
-    vals = {i: value_piece(d, parts[i], ADDITIVE) for i in candidates}
-    best = max(vals.values())
-    return max(i for i in candidates if vals[i] == best)
+    pick, best = None, None
+    for i in candidates:
+        v = value_components_pair(d, merge_components(parts[i]), ADDITIVE)
+        if best is None or _above(v, best) or (
+                not _above(best, v) and i > pick):
+            pick, best = i, v
+    return pick
 
 
 def cut_and_choose(p: Problem) -> Division:
@@ -89,10 +112,11 @@ def cut_and_choose(p: Problem) -> Division:
         raise CakeError("cut-and-choose requires exactly 2 agents")
     cutter, chooser = p.agents
     d = p.density(cutter)
-    m = leftmost_mark(d, Fraction(0), total(d) / 2)
+    wn, wd = total_pair(d)
+    m = Fraction(*d._mark(0, 1, wn, 2 * wd))
     left, right = Interval(Fraction(0), m), Interval(m, p.cake_length)
     dc = p.density(chooser)
-    if value(dc, left) > value(dc, right):
+    if _above(value_pair(dc, left), value_pair(dc, right)):
         return Division.of({chooser: [left], cutter: [right]})
     return Division.of({cutter: [left], chooser: [right]})
 
@@ -103,32 +127,37 @@ def banach_knaster(p: Problem) -> Division:
     agents trim only when the piece is worth strictly more than their own
     share; the last trimmer takes the piece."""
     s = Fraction(0)
-    c = p.cake_length
+    cn, cd = _end(p)
     pieces: dict[str, Piece] = {}
     remaining = list(p.agents)
     while len(remaining) > 1:
         m = len(remaining)
+        sn, sd = s.numerator, s.denominator
         holder = remaining[0]
         d = p.density(holder)
-        y = leftmost_mark(d, s, value(d, Interval(s, c)) / m)
+        vn, vd = d._value(sn, sd, cn, cd)
+        y = d._mark(sn, sd, vn, vd * m)
         for a in remaining[1:]:
             da = p.density(a)
-            share = value(da, Interval(s, c)) / m
-            if value(da, Interval(s, y)) > share:
-                y = leftmost_mark(da, s, share)
+            vn, vd = da._value(sn, sd, cn, cd)
+            share = vn, vd * m
+            if _above(da._value(sn, sd, *y), share):
+                y = da._mark(sn, sd, *share)
                 holder = a
+        y = Fraction(*y)
         pieces[holder] = [Interval(s, y)]
         s = y
         remaining.remove(holder)
-    pieces[remaining[0]] = [Interval(s, c)]
+    pieces[remaining[0]] = [Interval(s, p.cake_length)]
     return Division.of(pieces)
 
 
-def lowest_mark_rounds(p: Problem, share: Callable[[Density, Rat, int], Rat],
+def lowest_mark_rounds(p: Problem, share: Callable[[Density, Pair, int], Pair],
                        keep: int) -> tuple[dict[str, Piece], Rat, list[str]]:
     """Rounds from the left end of the cake until keep agents remain: each
     remaining agent marks the leftmost point worth share(d, start, m) from
-    the current start, with m agents remaining; the lowest mark (tie: lowest
+    the current start, with m agents remaining, the start and the share as
+    int pairs over positive denominators; the lowest mark (tie: lowest
     index) exits with the prefix up to it.  Returns the pieces, the final
     start and the agents left."""
     start = Fraction(0)
@@ -136,15 +165,17 @@ def lowest_mark_rounds(p: Problem, share: Callable[[Density, Rat, int], Rat],
     pieces: dict[str, Piece] = {}
     while len(remaining) > keep:
         m = len(remaining)
-        marks = []
-        for a in remaining:
+        at = start.numerator, start.denominator
+        low = winner = None
+        for a in remaining:  # in index order: the first of tied marks wins
             d = p.density(a)
-            y = leftmost_mark(d, start, share(d, start, m))
+            y = d._mark(*at, *share(d, at, m))
             if y is None:
                 raise InvariantError("a remaining agent's share exceeds the "
                                      "remaining cake")
-            marks.append((y, p.index(a), a))
-        y, _, winner = min(marks)
+            if low is None or _above(low, y):
+                low, winner = y, a
+        y = Fraction(*low)
         pieces[winner] = [Interval(start, y)]
         start = y
         remaining.remove(winner)
@@ -155,10 +186,14 @@ def dubins_spanier(p: Problem) -> Division:
     """Moving knife sweep: each remaining agent stops at its proportional
     share of the remaining cake; the earliest stop (tie: lowest index)
     exits with the prefix."""
-    c = p.cake_length
-    pieces, s, (last,) = lowest_mark_rounds(
-        p, lambda d, s, m: value(d, Interval(s, c)) / m, 1)
-    pieces[last] = [Interval(s, c)]
+    c = _end(p)
+
+    def share(d: Density, s: Pair, m: int) -> Pair:
+        vn, vd = d._value(*s, *c)
+        return vn, vd * m
+
+    pieces, s, (last,) = lowest_mark_rounds(p, share, 1)
+    pieces[last] = [Interval(s, p.cake_length)]
     return Division.of(pieces)
 
 
@@ -173,10 +208,13 @@ def even_paz(p: Problem) -> Division:
             return
         m = len(agents)
         k = m // 2
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
         marks = []
         for a in agents:
             d = p.density(a)
-            y = leftmost_mark(d, lo, value(d, Interval(lo, hi)) * k / m)
+            vn, vd = d._value(ln, ld, hn, hd)
+            y = Fraction(*d._mark(ln, ld, vn * k, vd * m))
             marks.append((y, p.index(a), a))
         marks.sort()
         cut = marks[k - 1][0]
@@ -224,9 +262,9 @@ def selfridge_conway(p: Problem) -> Division:
         raise CakeError("selfridge-conway requires exactly 3 agents")
     cutter, trimmer, third = p.agents
     dc = p.density(cutter)
-    v_total = total(dc)
-    m1 = leftmost_mark(dc, Fraction(0), v_total / 3)
-    m2 = leftmost_mark(dc, Fraction(0), 2 * v_total / 3)
+    wn, wd = total_pair(dc)
+    m1 = Fraction(*dc._mark(0, 1, wn, 3 * wd))
+    m2 = Fraction(*dc._mark(0, 1, 2 * wn, 3 * wd))
     parts = [Interval(Fraction(0), m1), Interval(m1, m2),
              Interval(m2, p.cake_length)]
     dt = p.density(trimmer)
@@ -243,14 +281,17 @@ def selfridge_conway(p: Problem) -> Division:
             available.remove(pick)
         return Division.of(pieces)
     bi = tvals.index(ranked[0])
-    m = leftmost_mark(dt, parts[bi].lo, ranked[1])
-    trimmed = Interval(parts[bi].lo, m)
+    lo, second = parts[bi].lo, ranked[1]
+    m = Fraction(*dt._mark(lo.numerator, lo.denominator, second.numerator,
+                           second.denominator))
+    trimmed = Interval(lo, m)
     trimmings = Interval(m, parts[bi].hi)
     offered = {i: (trimmed if i == bi else parts[i]) for i in range(3)}
     d3 = p.density(third)
     untrimmed = [i for i in range(3) if i != bi]
     best_u = _pick_rightmost_best(d3, [[offered[i]] for i in range(3)], untrimmed)
-    pick3 = bi if value(d3, trimmed) > value(d3, offered[best_u]) else best_u
+    pick3 = (bi if _above(value_pair(d3, trimmed),
+                          value_pair(d3, offered[best_u])) else best_u)
     pieces[third] = [offered[pick3]]
     left_over = [i for i in range(3) if i != pick3]
     pick_t = bi if bi in left_over else _pick_rightmost_best(

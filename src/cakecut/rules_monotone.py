@@ -12,12 +12,14 @@ from typing import Optional, Sequence
 
 from .cake_measure import (
     CakeError,
+    Density,
     Interval,
     InvariantError,
     Problem,
     Rat,
     rightmost_mark,
     total,
+    total_pair,
     value,
 )
 from .divisions import (
@@ -89,7 +91,11 @@ def exact_proportional(p: Problem) -> Division:
     from the current left edge; the leftmost marker (ties: lowest index)
     takes it.  Every agent ends with relative value exactly 1/n; the tail
     after the last round is discarded."""
-    pieces, _, _ = lowest_mark_rounds(p, lambda d, start, m: total(d) / p.n, 0)
+    def share(d: Density, start, m: int) -> tuple[int, int]:
+        vn, vd = total_pair(d)
+        return vn, vd * p.n
+
+    pieces, _, _ = lowest_mark_rounds(p, share, 0)
     return Division.of(pieces)
 
 

@@ -148,6 +148,73 @@ class TestValidation:
         assert check_ef(p, x, CONNECTED, u)
         assert len(merged) == len(x.assignments)
 
+    # Faulty divisions of forced_pair (the cake [0, 4]) and the exact error
+    # each raises from utilities and check_ef; the two-fault cases fix the
+    # order in which the faults are found.
+    FAULTS = {
+        "unknown-agent": (
+            {"Z": [iv(0, 1)]}, CONNECTED,
+            "division mentions unknown agents"),
+        "end-past-c": (
+            {"A": [iv(0, 1)], "B": [iv(1, 5)]}, CONNECTED,
+            r"interval \[1, 5\] outside cake"),
+        "overlap-in-piece": (
+            {"A": [iv(0, 2), iv(1, 3)]}, ADDITIVE,
+            "overlapping intervals in piece"),
+        "overlap-across-agents": (
+            {"A": [iv(0, 2)], "B": [iv(F(3, 2), 4)]}, CONNECTED,
+            "pieces overlap near 3/2"),
+        "unknown-mode": (
+            {"A": [iv(0, 1)], "B": [iv(1, 4)]}, "bogus",
+            "unknown utility mode 'bogus'"),
+        "unknown-agent-and-end-past-c": (
+            {"A": [iv(0, 5)], "Z": [iv(0, 1)]}, CONNECTED,
+            "division mentions unknown agents"),
+        "end-past-c-after-an-overlap-in-its-piece": (
+            {"A": [iv(0, 2), iv(1, 3), iv(3, 5)]}, CONNECTED,
+            r"interval \[3, 5\] outside cake"),
+        "overlap-in-piece-before-end-past-c-of-a-later-agent": (
+            {"A": [iv(0, 2), iv(1, 3)], "B": [iv(3, 5)]}, CONNECTED,
+            "overlapping intervals in piece"),
+        "end-past-c-and-overlap-across-agents": (
+            {"A": [iv(0, 2)], "B": [iv(1, 5)]}, CONNECTED,
+            r"interval \[1, 5\] outside cake"),
+        "overlap-across-agents-and-unknown-mode": (
+            {"A": [iv(0, 2)], "B": [iv(1, 4)]}, "bogus",
+            "pieces overlap near 1"),
+        "end-past-c-and-unknown-mode": (
+            {"A": [iv(0, 5)]}, "bogus",
+            r"interval \[0, 5\] outside cake"),
+    }
+
+    @pytest.mark.parametrize("check", [utilities, check_ef],
+                             ids=["utilities", "check_ef"])
+    @pytest.mark.parametrize("name", list(FAULTS))
+    def test_faults_raise_their_exact_message(self, check, name):
+        pieces, mode, message = self.FAULTS[name]
+        with pytest.raises(CakeError, match=f"^{message}$"):
+            check(forced_pair(), Division.of(pieces), mode)
+
+    # check_ef handed utilities does not validate the division: it values
+    # every other piece, each value first and the mode after
+    @pytest.mark.parametrize("pieces, mode, message", [
+        ({"A": [iv(0, 1)], "B": [iv(1, 5)]}, CONNECTED,
+         r"interval \[1, 5\] outside cake"),
+        ({"A": [iv(0, 1)], "B": [iv(1, 2), iv(F(3, 2), 4)]}, CONNECTED,
+         "overlapping intervals in piece"),
+        ({"A": [iv(0, 1)], "B": [iv(1, 4)]}, "bogus",
+         "unknown utility mode 'bogus'"),
+        ({"A": [iv(0, 1)], "B": [iv(1, 5)]}, "bogus",
+         r"interval \[1, 5\] outside cake"),
+    ], ids=["end-past-c", "overlap-in-piece", "unknown-mode",
+            "end-past-c-and-unknown-mode"])
+    def test_check_ef_with_utilities_values_before_the_mode(self, pieces,
+                                                            mode, message):
+        p = forced_pair()
+        u = utilities(p, Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]}))
+        with pytest.raises(CakeError, match=f"^{message}$"):
+            check_ef(p, Division.of(pieces), mode, u)
+
     def test_json_round_trip(self):
         x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 4)]})
         assert division_from_json(division_to_json(x)) == x

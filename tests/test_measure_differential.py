@@ -277,7 +277,8 @@ def test_marks_match_reference(name):
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel's entries: the mark entry, the sweep step and value
+# The integer kernel's entries: the mark entry, the sweep step, value and
+# the value entry
 
 MARK_KINDS = {"leftmost_mark": (1, False), "maximal_mark": (1, True),
               "suffix_mark": (-1, True)}
@@ -461,6 +462,55 @@ def test_value_matches_reference():
     mismatches = [(d, iv, got, want) for d, iv in value_cases()
                   if (got := _outcome(value, d, iv))
                   != (want := _outcome(ref_value, d, iv))]
+    assert not mismatches, mismatches[:5]
+
+
+def value_entry(d, iv, scale=1):
+    """Density._value on the ends' numerators and denominators, each
+    multiplied by scale (the entry takes unreduced pairs), its pair required
+    to be ints over a positive denominator and built as the Fraction the
+    reference returns; None past c."""
+    lo, hi = iv.lo, iv.hi
+    v = Density._value(d, lo.numerator * scale, lo.denominator * scale,
+                       hi.numerator * scale, hi.denominator * scale)
+    if v is None:
+        return None
+    num, den = v
+    if type(num) is not int or type(den) is not int or den <= 0:
+        raise TypeError(f"value must be ints over den > 0: {v}")
+    return F(num, den)
+
+
+def ref_value_entry(d, iv):
+    if iv.hi > ref_breakpoints(d)[-1]:
+        return None
+    return ref_value(d, iv)
+
+
+def test_value_cases_cover_the_edges():
+    kinds = set()
+    for d, iv in value_cases():
+        bps = ref_breakpoints(d)
+        if iv.hi > bps[-1]:
+            kinds.add("past c")
+            continue
+        if iv.empty:
+            kinds.add("empty")
+        elif ref_value(d, iv) == 0:
+            kinds.add("zero run")
+        if iv.lo in bps and iv.hi in bps and not iv.empty:
+            kinds.add("ends on breakpoints")
+        if iv.hi == bps[-1]:
+            kinds.add("end at c")
+    assert kinds == {"past c", "empty", "zero run", "ends on breakpoints",
+                     "end at c"}
+
+
+@pytest.mark.parametrize("scale", [1, 3], ids=["reduced", "unreduced"])
+def test_value_entry_matches_reference(scale):
+    mismatches = [(d, iv, got, want) for d, iv in value_cases()
+                  if (got := _outcome(value_entry, d, iv, scale))
+                  != (want := _outcome(ref_value_entry, d, iv))]
     assert not mismatches, mismatches[:5]
 
 
