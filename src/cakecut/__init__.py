@@ -33,11 +33,11 @@ from .divisions import (
     check_po_connected,
     check_prop,
     check_wpo_connected,
-    constrained_max,
     division_from_cuts,
     greedy_fit,
     max_slack,
     nash_product,
+    pivot_max,
     sup_uniform_feasible,
     utilities,
     validate_division,

@@ -257,12 +257,6 @@ class Density:
         bottom = self._prefix(an, ad)[1]
         return top[1] * ad - bottom * bd, self.scaled[0] * ad * bd
 
-    def _between(self, lo: Rat, hi: Rat) -> Optional[Rat]:
-        """Value of [lo, hi] for 0 <= lo <= hi, or None when hi > c."""
-        v = self._value(lo.numerator, lo.denominator, hi.numerator,
-                        hi.denominator)
-        return None if v is None else Fraction(*v)
-
     def _sweep_step(self, pos: Rat, tn: int, td: int):
         """One agent's step of the parametric sweep for the target tn/td
         (td > 0), from one grid locate and one goal locate: (left, y,
@@ -290,7 +284,8 @@ class Density:
                 self.grid.breakpoints[k + 1])
 
     def prefix_at(self, x: Rat) -> Rat:
-        """Value of [0, x]."""
+        """Value of [0, x]: a public Fraction wrapper over the prefix
+        evaluator (_prefix), with no library caller."""
         xd = x.denominator
         at = self._prefix(x.numerator, xd)
         if at is None:
@@ -348,7 +343,9 @@ def value_piece(d: Density, piece: Iterable[Interval], mode: str) -> Rat:
     """Value of a union of disjoint intervals.
 
     mode "connected": value of the best single connected component (adjacent
-    intervals merged first).  mode "additive": plain sum.
+    intervals merged first).  mode "additive": plain sum.  A public Fraction
+    wrapper over Density._value (through value_components), with no
+    library caller.
     """
     return value_components(d, merge_components(piece), mode)
 
@@ -394,7 +391,8 @@ def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     Left-continuous in the target: when the target exactly exhausts a
     positive run, the mark is the run's right end, before any zero stretch.
     The first point at which the prefix value reaches value[0, start] +
-    target, from one prefix evaluation and one goal locate (Density._mark).
+    target, from one prefix evaluation and one goal locate: a public
+    Fraction wrapper over Density._mark, with no library caller.
     """
     return _mark_rat(d, start, target, 1, False)
 
@@ -409,14 +407,16 @@ def maximal_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
 
     The leftmost mark extended through any zero-density stretch that
     follows it: the last point at which the prefix value reaches
-    value[0, start] + target, located directly.
+    value[0, start] + target, located directly.  A public Fraction wrapper
+    over Density._mark, whose one library caller is rightmost_mark.
     """
     return _mark_rat(d, start, target, 1, True)
 
 
 def suffix_mark(d: Density, end: Rat, target: Rat) -> Optional[Rat]:
     """Maximum x <= end with value [x, end] == target, or None: the last
-    point at which the prefix value reaches value[0, end] - target."""
+    point at which the prefix value reaches value[0, end] - target.  A
+    public Fraction wrapper over Density._mark, with no library caller."""
     return _mark_rat(d, end, target, -1, True)
 
 

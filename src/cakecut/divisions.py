@@ -6,13 +6,14 @@ product, and essential single-valuedness, all in exact rational
 arithmetic.  The efficiency checkers rest on one feasibility path:
 sequential marks, carried from mark to mark as int pairs through the
 measure kernel's one mark entry (Density._mark).  _chain is the one loop
-of marks along an agent ordering: greedy_fit's minimal prefixes from 0,
-the sweep's certifying pass, and constrained_max's minimal prefixes and
-suffixes.  fitting_orderings walks the same chains over shared ordering
-prefixes.  _mark_table extends them from orderings to agent sets: the
-subset DP of Aumann, Dombb and Hassidim ("Computing socially-efficient
-cake divisions", AAMAS 2013), with marks as the transition, decides Pareto
-optimality in n * 2^(n-1) marks instead of n * n! (ordering, pivot) pairs.
+of minimal prefixes along an agent ordering (greedy_fit, the sweep's
+certifying pass); fitting_orderings walks it over shared ordering
+prefixes.  _mark_table extends it from orderings to agent sets: the subset
+DP of Aumann, Dombb and Hassidim ("Computing socially-efficient cake
+divisions", AAMAS 2013), with marks as the transition.  Its one left-set
+scan gives a pivot's largest piece under floors for the others (pivot_max)
+and decides Pareto optimality in n * 2^(n-1) marks instead of n * n!
+(ordering, pivot) pairs.
 An exact parametric sweep over a uniform slack parameter, its body in
 integer arithmetic, decides weak Pareto optimality (max_slack).
 """
@@ -228,30 +229,19 @@ def check_esv(p: Problem, divisions: Sequence[Division],
 # Connected-partition feasibility primitives
 
 
-def _steps(p: Problem, agents: Iterable[str], targets: Mapping[str, Rat]
-           ) -> Iterator[tuple[Density, int, int]]:
-    """(density, target numerator, target denominator) for each agent in
-    turn, each target read when its step is taken."""
-    for a in agents:
-        t = targets[a]
-        yield p.density(a), t.numerator, t.denominator
-
-
-def _chain(steps: Iterable[tuple[Density, int, int]], start: tuple[int, int],
-           sign: int = 1) -> Optional[list[tuple[int, int]]]:
-    """Sequential marks on int pairs: each (density, tn, td) step in turn
-    takes its mark from the previous one, starting at start, the leftmost
-    mark (a minimal prefix) for sign 1 and the suffix mark (a minimal
-    suffix, right to left) for sign -1.  Returns the marks, or None at the
-    first that fails.  The steps are read one per mark, so none is read
-    past a failing mark; a negative target is refused (CakeError)."""
+def _chain(steps: Iterable[tuple[Density, int, int]]
+           ) -> Optional[list[tuple[int, int]]]:
+    """Sequential minimal prefixes on int pairs: each (density, tn, td)
+    step in turn takes its leftmost mark from the previous one, starting
+    at 0.  Returns the marks, or None at the first that fails.  The steps
+    are read one per mark, so none is read past a failing mark; a negative
+    target is refused (CakeError)."""
     marks = []
-    xn, xd = start
-    last = sign < 0
+    xn, xd = 0, 1
     for d, tn, td in steps:
         if tn < 0:
             raise CakeError("targets must be nonnegative")
-        y = d._mark(xn, xd, tn, td, sign, last)
+        y = d._mark(xn, xd, tn, td)
         if y is None:
             return None
         marks.append(y)
@@ -272,7 +262,9 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     negative one is refused (CakeError).  The loop is _chain's, on int
     pairs; only the returned cuts are built as Fractions.
     """
-    cuts = _chain(_steps(p, pi, targets), (0, 1))
+    steps = ((p.density(a), targets[a].numerator, targets[a].denominator)
+             for a in pi)
+    cuts = _chain(steps)
     return None if cuts is None else tuple(Fraction(*y) for y in cuts)
 
 
@@ -317,28 +309,6 @@ def division_from_cuts(p: Problem, pi: Sequence[str],
     """Connected partition: agent i of pi gets [cut_{i-1}, cut_i]; the last
     piece is extended to the end of the cake."""
     return _consecutive(pi, [*cuts[:len(pi) - 1], p.cake_length])
-
-
-def constrained_max(p: Problem, pi: Sequence[str], pivot: str,
-                    targets: dict[str, Rat]) -> Optional[Rat]:
-    """Maximum value the pivot can get in a connected pi-partition in which
-    every other agent gets at least its target; None if infeasible.  The
-    agents left of the pivot take minimal prefixes from 0 and those right
-    of it minimal suffixes from the end of the cake (_chain); the pivot's
-    largest piece lies between the two chains."""
-    pi = tuple(pi)
-    j = pi.index(pivot)
-    c = p.cake_length
-    left = _chain(_steps(p, pi[:j], targets), (0, 1))
-    right = None if left is None else _chain(
-        _steps(p, pi[:j:-1], targets), (c.numerator, c.denominator), -1)
-    if right is None:
-        return None
-    lo = Fraction(*left[-1]) if left else Fraction(0)
-    hi = Fraction(*right[-1]) if right else c
-    if lo > hi:
-        return None
-    return p.density(pivot)._between(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +406,7 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
             raise CakeError("sweep targets must be nonnegative at start")
         steps = ((d, ta * td + tb * tn, tden * td)
                  for d, ta, tb, tden, *_ in lines)
-        if _chain(steps, (0, 1)) is not None:
+        if _chain(steps) is not None:
             return theta
         if theta == start:
             return None
@@ -547,6 +517,48 @@ def _table_chain(table: list, s: int) -> list[tuple[int, Rat]]:
     return chain
 
 
+def _left_sets(left: list, right: list, j: int
+               ) -> Iterator[tuple[int, int, tuple, tuple]]:
+    """(S, T, f(S), g(T)) for the left sets S of pivot j by increasing
+    bitmask, T = N - j - S, f and g the left and right _mark_table tables;
+    a set is skipped when either entry is missing or f(S) > g(T), as no
+    ordering with S left of j and T right of it then fits."""
+    rest = len(left) ^ (1 << j)  # len(left) is the full set's bitmask
+    for s in range(rest + 1):
+        if s >> j & 1:
+            continue
+        lo, hi = left[s], right[rest ^ s]
+        if lo is not None and hi is not None and (
+                lo[0] * hi[1] <= hi[0] * lo[1]):
+            yield s, rest ^ s, lo, hi
+
+
+def pivot_max(p: Problem, pivot: str,
+              floors: Mapping[str, Rat]) -> Optional[Rat]:
+    """The pivot's largest connected piece over all orderings in which
+    every other agent gets at least its floor, or None when none fits: the
+    max, over the left sets S that _left_sets yields, of the pivot's value
+    of [f(S), g(T)] (the question check_po_connected asks of each pivot).
+    floors must name exactly the other agents (CakeError otherwise, and
+    for an unknown pivot); the first mark taken for a negative floor
+    refuses it."""
+    j = p.index(pivot)
+    if set(floors) != set(p.agents) - {pivot}:
+        raise CakeError(f"floors must name exactly the agents other than "
+                        f"the pivot {pivot!r}")
+    # the pivot's own target is never read: no scanned set contains it
+    targets = [(0, 1) if a == pivot else (floors[a].numerator,
+                                          floors[a].denominator)
+               for a in p.agents]
+    c = p.cake_length
+    left = _mark_table(p.densities, targets, (0, 1), 1)
+    right = _mark_table(p.densities, targets,
+                        (c.numerator, c.denominator), -1)
+    d = p.densities[j]
+    return max((Fraction(*d._value(lo[0], lo[1], hi[0], hi[1]))
+                for *_, lo, hi in _left_sets(left, right, j)), default=None)
+
+
 def check_po_connected(p: Problem, x: Division,
                        u: Optional[UtilityVector] = None) -> EfficiencyResult:
     """False iff some connected partition is weakly better for all agents
@@ -562,9 +574,9 @@ def check_po_connected(p: Problem, x: Division,
     begin furthest right at g(T) (_mark_table, sign 1 and sign -1: n *
     2^(n-1) marks each instead of a chain per ordering prefix).  The
     pivot's value of [f(S), g(T)] falls as f(S) rises and as g(T) falls,
-    so j can be strictly improved iff some S has f(S) <= g(T) and
-    value_j[f(S), g(T)] > u_j, that is iff j's maximal mark from f(S)
-    worth u_j lies strictly before g(T): one more mark per (j, S).
+    so j can be strictly improved iff some S that _left_sets yields has
+    value_j[f(S), g(T)] > u_j (as pivot_max reads it), that is iff j's
+    maximal mark from f(S) worth u_j lies strictly before g(T).
 
     Scan order: pivots in the order of p.agents, then left sets S by
     increasing bitmask (bit i for p.agents[i]); the first improving (j, S)
@@ -581,25 +593,17 @@ def check_po_connected(p: Problem, x: Division,
     left = _mark_table(p.densities, targets, (0, 1), 1)
     right = _mark_table(p.densities, targets,
                         (c.numerator, c.denominator), -1)
-    full = (1 << p.n) - 1
     for j, (d, (tn, td)) in enumerate(zip(p.densities, targets)):
-        rest = full ^ (1 << j)
-        for s in range(rest + 1):
-            if s >> j & 1:
-                continue
-            lo, hi = left[s], right[rest ^ s]
-            if lo is None or hi is None or lo[0] * hi[1] >= hi[0] * lo[1]:
-                continue  # an empty or no piece between the chains
+        for s, t, lo, hi in _left_sets(left, right, j):
             z = d._mark(lo[0], lo[1], tn, td, 1, True)
             if z is None or z[0] * hi[1] >= hi[0] * z[1]:
                 continue
             lefts = _table_chain(left, s)[::-1]
-            rights = _table_chain(right, rest ^ s)
+            rights = _table_chain(right, t)
             pi = tuple(p.agents[i] for i in (*(a for a, _ in lefts), j,
                                              *(a for a, _ in rights)))
             bounds = [y for _, y in (*lefts, *rights)] + [c]
-            k = len(lefts)
-            best = d._between(bounds[k - 1] if k else Fraction(0), bounds[k])
+            best = Fraction(*d._value(lo[0], lo[1], hi[0], hi[1]))
             witness = _consecutive(pi, bounds)
             wu = utilities(p, witness, CONNECTED)
             pivot = p.agents[j]

@@ -39,8 +39,8 @@ from .divisions import (
     check_po_connected,
     check_wpo_connected,
     greedy_fit,
-    constrained_max,
     nash_product,
+    pivot_max,
     utilities,
 )
 from .rules_monotone import RuleOutput
@@ -372,26 +372,17 @@ def _fx_fink_pm() -> list[Claim]:
     return claims
 
 
-def _best_two_way(q: Problem, pivot: str,
-                  floor: dict[str, Rat]) -> Optional[Rat]:
-    """The pivot's largest constrained_max over the listed ordering of two
-    agents and its reverse; None when neither fits."""
-    vals = [constrained_max(q, pi, pivot, floor)
-            for pi in (q.agents, q.agents[::-1])]
-    return max((v for v in vals if v is not None), default=None)
-
-
 def _fx_thm1() -> list[Claim]:
     claims: list[Claim] = []
     p = cake_forced_pair()
     share = {a: total(p.density(a)) / 2 for a in p.agents}
     _claim(claims, "thm1/alice-max-given-prop", Fraction(6),
-           _best_two_way(p, "A", {"B": share["B"]}))
+           pivot_max(p, "A", {"B": share["B"]}))
     _claim(claims, "thm1/bob-max-given-prop", Fraction(8),
-           _best_two_way(p, "B", {"A": share["A"]}))
+           pivot_max(p, "B", {"A": share["A"]}))
     big = append(p, *FORCED_EXTRA)
     _claim(claims, "thm1/bob-max-given-alice-7", Fraction(6),
-           _best_two_way(big, "B", {"A": Fraction(7)}))
+           pivot_max(big, "B", {"A": Fraction(7)}))
     _claim(claims, "thm1/greedy-7-7-infeasible", None,
            greedy_fit(big, big.agents, {"A": Fraction(7), "B": Fraction(7)}))
     return claims
@@ -403,7 +394,7 @@ def _fx_thm2() -> list[Claim]:
     division = Division.of({"A": [_iv(0, 5)], "B": [_iv(5, 6)], "C": [_iv(6, 7)]})
     _claim(claims, "thm2/carl-envies-alice", False, check_ef(p, division))
     _claim(claims, "thm2/alice-max-given-carl", Fraction(5),
-           _best_two_way(remove_agent(p, "B"), "A", {"C": Fraction(7, 2)}))
+           pivot_max(remove_agent(p, "B"), "A", {"C": Fraction(7, 2)}))
     return claims
 
 

@@ -30,13 +30,13 @@ from cakecut.divisions import (
     check_po_connected,
     check_prop,
     check_wpo_connected,
-    constrained_max,
     division_from_cuts,
     division_from_json,
     division_to_json,
     greedy_fit,
     max_slack,
     nash_product,
+    pivot_max,
     sup_uniform_feasible,
     utilities,
     validate_division,
@@ -44,7 +44,7 @@ from cakecut.divisions import (
 
 from cakecut.rules_monotone import exact_proportional, max_equitable
 
-from test_pruned_search import corpus, mark_chain
+from test_pruned_search import corpus, enumerated_pivot_max, mark_chain
 
 
 def iv(lo, hi):
@@ -339,25 +339,44 @@ class TestGreedyFit:
 
 
 class TestConstrainedMax:
+    """pivot_max, the pivot's largest piece over all orderings given floors
+    for the others, equals the max over permutations of the test's
+    constrained partitions (enumerated_pivot_max)."""
+
+    def check(self, p, pivot, floors, want):
+        assert pivot_max(p, pivot, floors) == want
+        assert enumerated_pivot_max(p, pivot, floors) == want
+
     def test_reduced_cake_pivot_left(self):
-        p = remove_agent(no_po_ef(), "B")
-        assert constrained_max(p, ("A", "C"), "A", {"C": F(7, 2)}) == 5
+        self.check(remove_agent(no_po_ef(), "B"), "A", {"C": F(7, 2)}, 5)
 
     def test_enlarged_cake_pivot_right(self):
-        p = forced_pair_big()
-        best = max(v for v in (
-            constrained_max(p, pi, "B", {"A": F(7)})
-            for pi in (("A", "B"), ("B", "A"))) if v is not None)
-        assert best == 6
+        self.check(forced_pair_big(), "B", {"A": F(7)}, 6)
 
     def test_others_consume_everything(self):
-        p = forced_pair()
-        v = constrained_max(p, ("A", "B"), "B", {"A": F(8)})
-        assert v is None or v == 0
+        self.check(forced_pair(), "B", {"A": F(8)}, 0)
 
     def test_infeasible_targets(self):
-        p = forced_pair()
-        assert constrained_max(p, ("A", "B"), "B", {"A": F(9)}) is None
+        self.check(forced_pair(), "B", {"A": F(9)}, None)
+
+    def test_single_agent_gets_the_whole_cake(self):
+        self.check(problem(["A"], [1, 2], [[1, 3]]), "A", {}, 7)
+
+    def test_three_agents_on_the_unreduced_cake(self):
+        # B's 7 fills [5, 6], so C's 7/2 must come from left of it
+        self.check(no_po_ef(), "A", {"B": F(7), "C": F(7, 2)}, 2)
+
+    @pytest.mark.parametrize("pivot, floors, match", [
+        ("Z", {"A": F(1)}, "unknown agent 'Z'"),
+        ("B", {}, "floors must name exactly"),
+        ("B", {"A": F(1), "B": F(1)}, "floors must name exactly"),
+        ("B", {"A": F(1), "Z": F(1)}, "floors must name exactly"),
+        ("B", {"A": F(-1)}, "must be nonnegative"),
+    ], ids=["unknown-pivot", "missing-floor", "pivot-floor", "unknown-floor",
+            "negative-floor"])
+    def test_bad_input_is_refused(self, pivot, floors, match):
+        with pytest.raises(CakeError, match=match):
+            pivot_max(forced_pair(), pivot, floors)
 
 
 class TestSweep:

@@ -5,7 +5,8 @@ the CLI (the rule registry is the one place that knows a rule), no
 integer-scaled measure data outside cake_measure.py (its kernel is the
 one place that reads it), and no private helper, function, class or
 method of a library class, that only the tests use (a test-only helper
-belongs in the tests, and a replaced kernel entry is not left behind)."""
+belongs in the tests, and a replaced kernel entry is not left behind),
+and no package export that no test names."""
 
 import ast
 from collections import Counter
@@ -167,6 +168,20 @@ def test_private_helper_finder_sees_methods():
     assert unreferenced_private(trees) == ["a.py:Public._dead",
                                            "a.py:Public._recursive",
                                            "a.py:_Private._dead"]
+
+
+def exported_names(tree) -> list[str]:
+    """Every name a module imports from another: the package's exports."""
+    return [alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_export_is_named_in_a_test():
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    exports = exported_names(_tree(init))
+    named = {name for path in Path(__file__).parent.glob("*.py")
+             for name in _names(_tree(path))}
+    assert exports and sorted(set(exports) - named) == []
 
 
 def test_string_literal_finder_sees_f_string_parts():

@@ -4,7 +4,7 @@ enumerators, on a fixed-seed corpus with zero-density stretches.
 max_equitable and check_wpo_connected are compared with an enumerator that
 sweeps every ordering in full (equitable_value_oracle, and max_slack on
 every permutation), fitting_orderings with a filter of greedy_fit over all
-permutations, and check_po_connected and constrained_max with a
+permutations, and check_po_connected and pivot_max with a
 per-(ordering, pivot) enumerator that builds every constrained partition
 from two mark chains of its own (constrained_partition)."""
 
@@ -30,11 +30,11 @@ from cakecut.divisions import (
     CONNECTED,
     check_po_connected,
     check_wpo_connected,
-    constrained_max,
     division_from_cuts,
     fitting_orderings,
     greedy_fit,
     max_slack,
+    pivot_max,
     utilities,
 )
 from cakecut import rules_monotone as rm
@@ -244,6 +244,14 @@ def constrained_partition(p, pi, pivot, targets):
             division_from_cuts(p, pi, bounds))
 
 
+def enumerated_pivot_max(p, pivot, floors):
+    """The pivot's best constrained partition value over all orderings;
+    None when no ordering fits the floors."""
+    values = [result[0] for pi in permutations(p.agents)
+              if (result := constrained_partition(p, pi, pivot, floors))]
+    return max(values, default=None)
+
+
 def enumerated_po(p, x):
     """The per-(ordering, pivot) enumerator: build the constrained partition
     of every pair and stop at the first that improves its pivot."""
@@ -348,21 +356,43 @@ def test_tie_heavy_cakes_reach_both_po_verdicts():
             for x in _tie_heavy_inputs(p)} == {True, False}
 
 
-SMALL_CASES = [i for i in CASES if corpus()[i].n <= 4]
+def _pivot_queries(p, xs, seed):
+    """(pivot, floors for the others) for every pivot and floor set: the
+    base utilities of each division in xs, and random fractions of each
+    agent's total up to 5/(2n), so some floor sets do not fit."""
+    rng = random.Random(seed)
+    floor_sets = [utilities(p, x, CONNECTED).absolute for x in xs]
+    floor_sets += [{a: F(rng.randint(0, 25), 10 * p.n) * total(p.density(a))
+                    for a in p.agents} for _ in range(3)]
+    for floors in floor_sets:
+        for pivot in p.agents:
+            yield pivot, {a: floors[a] for a in p.agents if a != pivot}
 
 
-@pytest.mark.parametrize("index", SMALL_CASES,
-                         ids=[_ids()[i] for i in SMALL_CASES])
+@pytest.mark.parametrize("index", CASES, ids=_ids())
 def test_constrained_max_matches_constrained_partition(index):
     p = corpus()[index]
-    for x in _po_inputs(p):
-        base = utilities(p, x, CONNECTED).absolute
-        for pi in permutations(p.agents):
-            for pivot in pi:
-                targets = {a: base[a] for a in p.agents if a != pivot}
-                result = constrained_partition(p, pi, pivot, targets)
-                assert constrained_max(p, pi, pivot, targets) == (
-                    None if result is None else result[0]), (pi, pivot)
+    for pivot, floors in _pivot_queries(p, _po_inputs(p), SEED + 3 + index):
+        assert pivot_max(p, pivot, floors) == enumerated_pivot_max(
+            p, pivot, floors), (pivot, floors)
+
+
+@pytest.mark.parametrize("index", range(len(TIE_HEAVY)),
+                         ids=[f"n{n}-{i}" for i, n in enumerate(TIE_HEAVY)])
+def test_pivot_max_matches_constrained_partition_on_tie_heavy_cakes(index):
+    p = tie_heavy_corpus()[index]
+    for pivot, floors in _pivot_queries(p, _tie_heavy_inputs(p),
+                                        SEED + 4 + index):
+        assert pivot_max(p, pivot, floors) == enumerated_pivot_max(
+            p, pivot, floors), (pivot, floors)
+
+
+def test_corpus_floors_reach_both_pivot_outcomes():
+    assert {pivot_max(p, pivot, floors) is None
+            for index, p in enumerate(corpus())
+            for pivot, floors in _pivot_queries(p, _po_inputs(p),
+                                                SEED + 3 + index)
+            } == {True, False}
 
 
 def test_corpus_reaches_both_po_verdicts():
