@@ -63,28 +63,17 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _locate(keys: tuple[int, ...], scale: int, num: int, den: int):
-    """Place the rational num/den (den > 0) among sorted integer keys that
-    stand for keys[i] / scale, exactly and without building a Fraction.
-
-    Returns (k, q, r) with q, r = divmod(num * scale, den), so q is the
-    floor of num/den * scale, and k = bisect_right(keys, q) - 1.  For an
-    integer key B, B <= num/den * scale holds exactly when B <= q; hence
-    keys[k] <= num/den * scale < keys[k + 1], and num/den * scale equals
-    keys[k] exactly when r == 0 and keys[k] == q.
-    """
-    q, r = divmod(num * scale, den)
-    return bisect_right(keys, q) - 1, q, r
-
-
 @dataclass(frozen=True)
 class SliceGrid:
     """Partition of [0, c] into slices of strictly positive length.
 
     Point lookups run on integers: ``scaled``, built in ints on first use,
     holds S, the lcm of the length denominators, and B, the running sums of
-    the lengths times S; a point x is placed by comparing floor(x * S) with
-    B (see ``_locate``), which is exact.  ``breakpoints`` is the view B / S.
+    the lengths times S.  A point x = num/den is placed by q, r =
+    divmod(num * S, den), so q is floor(x * S): for an integer key B[k],
+    B[k] <= x * S holds exactly when B[k] <= q, so k = bisect_right(B, q) -
+    1 gives B[k] <= x * S < B[k + 1], and x * S equals B[k] exactly when r
+    == 0 and B[k] == q.  ``breakpoints`` is the view B / S.
     """
 
     lengths: tuple[Rat, ...]
@@ -117,18 +106,18 @@ class SliceGrid:
     def slice_right_of(self, x: Rat) -> int:
         """Index of the slice immediately to the right of x (requires x < c)."""
         s, b = self.scaled
-        k, q, _ = _locate(b, s, x.numerator, x.denominator)
+        q = x.numerator * s // x.denominator
         if q < 0 or q >= b[-1]:  # x < 0 or x >= c
             raise CakeError(f"point {x} has no slice to its right")
-        return k
+        return bisect_right(b, q) - 1
 
     def next_breakpoint(self, x: Rat) -> Rat:
         """Smallest breakpoint strictly greater than x (requires x < c)."""
         s, b = self.scaled
-        k, q, _ = _locate(b, s, x.numerator, x.denominator)
+        q = x.numerator * s // x.denominator
         if q >= b[-1]:  # x >= c
             raise CakeError(f"no breakpoint beyond {x}")
-        return self.breakpoints[k + 1]
+        return self.breakpoints[bisect_right(b, q)]
 
 
 @dataclass(frozen=True)
@@ -138,17 +127,19 @@ class Density:
     Every value, mark and sweep step runs on one integer kernel, built in
     ints on first use: ``scaled`` holds K, P and R, where P[k] / K is the
     value of [0, b_k] and values[k] = R[k] * S / K for the grid's scale S,
-    and K is the least denominator that makes them all ints.  ``_prefix``
-    evaluates K * den * value[0, num/den] as an int from one grid locate;
-    ``_goal`` places a goal value, in the same units, among P by comparing
-    floor(goal * K) with P, which is exact for the same reason as point
-    lookups on the grid, and returns the first or the last point where the
-    prefix value reaches it.  ``_mark`` is the one mark entry: int pairs in,
-    a normalised int pair out, which the library's mark chains and the
-    classic protocols carry from mark to mark; ``_value`` is the one value
-    entry, int pairs in, an unreduced int pair out, which the protocols and
-    piece valuation compare by cross-multiplication.  Each public result is
-    built from these ints as one normalised Fraction.
+    and K is the least denominator that makes them all ints.  ``_prefix``,
+    the one prefix evaluator, places a point on the grid (as SliceGrid
+    does) and evaluates K * den * value[0, num/den] as an int.  ``_mark``
+    is the one mark entry, int pairs in and a normalised int pair out,
+    which the library's mark chains and the classic protocols carry from
+    mark to mark: one prefix evaluation, then one goal locate written in
+    its body, which places the goal value among P by comparing floor(goal *
+    K) with P, exact for the same reason as point lookups on the grid.  Its
+    step mode, the maximal mark with the value left and the slice indices
+    the sweep reads, is the parametric sweep's step.  ``_value`` is the one
+    value entry, int pairs in, an unreduced int pair out, which the
+    protocols and piece valuation compare by cross-multiplication.  Each
+    public result is built from these ints as one normalised Fraction.
     """
 
     grid: SliceGrid
@@ -186,40 +177,19 @@ class Density:
         num/den (den > 0), where k is the slice right of x (len(values)
         at x = c); None when x lies outside the cake."""
         s, b = self.grid.scaled
-        k, q, r = _locate(b, s, num, den)
+        q, r = divmod(num * s, den)  # placed as SliceGrid places points
         c = b[-1]
         if q < 0 or q > c or (q == c and r):  # x < 0 or x > c
             return None
         m, p, rate = self.scaled
         if q == c:  # x == c
-            return k, p[-1] * den
+            return len(self.values), p[-1] * den
+        k = bisect_right(b, q) - 1
         # K * value = P[k] + R[k] * (x * S - B[k]), and x * S = q + r / den
         return k, p[k] * den + rate[k] * ((q - b[k]) * den + r)
 
-    def _goal(self, g: int, den: int, last: bool) -> tuple[int, int, int]:
-        """Goal locator: for the goal value g / (K * den), between 0 and the
-        total, (k, yn, yd) where yn / yd (yd > 0, not always reduced) is the
-        first point (the last, if last) at which the prefix value reaches
-        the goal and k is the slice right of it (len(values) at c)."""
-        _, p, rate = self.scaled
-        # g / den is the goal already scaled by K; k is the last breakpoint
-        # with P[k] <= q
-        k, q, r = _locate(p, 1, g, den)
-        if r or p[k] != q:
-            # P[k] < goal * K < P[k + 1], so slice k has positive density:
-            # y = B[k] / S + (goal * K - P[k]) / (R[k] * S)
-            s, b = self.grid.scaled
-            return k, (b[k] * rate[k] + q - p[k]) * den + r, rate[k] * s * den
-        # the goal is a breakpoint value; P is flat across zero-density
-        # slices, so the breakpoints achieving it form one run ending at k
-        if not last:
-            while k > 0 and p[k - 1] == q:
-                k -= 1
-        y = self.grid.breakpoints[k]
-        return k, y.numerator, y.denominator
-
     def _mark(self, xn: int, xd: int, tn: int, td: int, sign: int = 1,
-              last: bool = False) -> Optional[tuple[int, int]]:
+              last: bool = False, step: bool = False):
         """Mark kernel on int pairs: for the point x = xn/xd in lowest terms
         and the target tn/td (both denominators positive), the first point
         (the last, if last) at which the prefix value reaches value[0, x] +
@@ -228,23 +198,52 @@ class Density:
         leftmost_mark (first) and maximal_mark (last) from the start x,
         sign -1 with last suffix_mark back from the end x.  A zero target
         gives x itself for the leftmost and suffix marks, whose located
-        point would lie on the far side of x across a zero stretch."""
+        point would lie on the far side of x across a zero stretch.
+
+        With step (sign 1, last: the maximal mark), the parametric sweep's
+        step: (left, y, k, j), where left = value[x, c] - target as an int
+        pair over a positive denominator, not reduced, y the maximal mark,
+        and k and j the slices right of x and of y.  When left <= 0 the
+        mark is not taken and y and j are None.  An x outside the cake is
+        refused as a point, the sweep's word for it."""
         if tn < 0:
             raise CakeError("target must be nonnegative")
         at = self._prefix(xn, xd)
         if at is None:
-            what = "start" if sign > 0 else "end"
+            what = "end" if sign < 0 else "point" if step else "start"
             raise CakeError(f"{what} {Fraction(xn, xd)} outside cake")
         if tn == 0 and last != (sign > 0):
             return xn, xd
-        m, p, _ = self.scaled
+        m, p, rate = self.scaled
         den = xd * td
         g = at[1] * td + sign * tn * m * xd  # the goal in the kernel's units
-        if g > p[-1] * den if sign > 0 else g < 0:
+        if step:
+            left = p[-1] * den - g, m * den
+            if left[0] <= 0:
+                return left, None, at[0], None
+        elif g > p[-1] * den if sign > 0 else g < 0:
             return None
-        _, yn, yd = self._goal(g, den, last)
-        r = gcd(yn, yd)
-        return yn // r, yd // r
+        # the goal locate: g / den is the goal already scaled by K, and k
+        # is the last breakpoint with P[k] <= q
+        q, r = divmod(g, den)
+        k = bisect_right(p, q) - 1
+        if r or p[k] != q:
+            # P[k] < goal * K < P[k + 1], so slice k has positive density:
+            # y = B[k] / S + (goal * K - P[k]) / (R[k] * S)
+            s, b = self.grid.scaled
+            yn, yd = (b[k] * rate[k] + q - p[k]) * den + r, rate[k] * s * den
+            h = gcd(yn, yd)
+            y = yn // h, yd // h
+        else:
+            # the goal is a breakpoint value; P is flat across zero-density
+            # slices, so the breakpoints achieving it form one run ending
+            # at k
+            if not last:
+                while k > 0 and p[k - 1] == q:
+                    k -= 1
+            y = self.grid.breakpoints[k]
+            y = y.numerator, y.denominator
+        return (left, y, at[0], k) if step else y
 
     def _value(self, an: int, ad: int, bn: int,
                bd: int) -> Optional[tuple[int, int]]:
@@ -256,32 +255,6 @@ class Density:
             return None
         bottom = self._prefix(an, ad)[1]
         return top[1] * ad - bottom * bd, self.scaled[0] * ad * bd
-
-    def _sweep_step(self, pos: Rat, tn: int, td: int):
-        """One agent's step of the parametric sweep for the target tn/td
-        (td > 0), from one grid locate and one goal locate: (left, y,
-        density right of pos, density right of y, the next breakpoint beyond
-        y), where left = value[pos, c] - target as an int pair (numerator,
-        positive denominator), not reduced, and y = maximal_mark(self, pos,
-        target).  When left <= 0 the mark is not taken and the last four
-        are None."""
-        pd = pos.denominator
-        at = self._prefix(pos.numerator, pd)
-        if at is None:
-            raise CakeError(f"point {pos} outside cake")
-        m, p, _ = self.scaled
-        den = pd * td
-        g = at[1] * td + tn * m * pd  # the goal value[0, pos] + target
-        rest = p[-1] * den - g
-        left = rest, m * den
-        if rest <= 0:
-            return left, None, None, None, None
-        if tn < 0:
-            raise CakeError("target must be nonnegative")
-        # the goal lies below the total, so y < c and slice k exists
-        k, yn, yd = self._goal(g, den, True)
-        return (left, Fraction(yn, yd), self.values[at[0]], self.values[k],
-                self.grid.breakpoints[k + 1])
 
     def prefix_at(self, x: Rat) -> Rat:
         """Value of [0, x]: a public Fraction wrapper over the prefix

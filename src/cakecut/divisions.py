@@ -14,8 +14,11 @@ divisions", AAMAS 2013), with marks as the transition.  Its one left-set
 scan gives a pivot's largest piece under floors for the others (pivot_max)
 and decides Pareto optimality in n * 2^(n-1) marks instead of n * n!
 (ordering, pivot) pairs.
-An exact parametric sweep over a uniform slack parameter, its body in
-integer arithmetic, decides weak Pareto optimality (max_slack).
+An exact parametric sweep over a uniform slack parameter decides weak
+Pareto optimality (max_slack) and finds each ordering's equitable value:
+its steps are the same mark entry in its step mode, its body carries the
+position, theta and the densities as int pairs, and it builds one
+Fraction per call.
 """
 
 from __future__ import annotations
@@ -330,75 +333,86 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
 
     Exact event sweep over the chain of maximal marks: between events every
     cut position is an affine function of theta.  Each agent's step is one
-    call of the measure kernel (Density._sweep_step: one grid locate and
-    one goal locate), which returns the value the agent has left over its
-    target as an int pair, its maximal mark y, the densities right of its
-    start and of y, and the next breakpoint beyond y.  The body works in
-    ints: theta is held as (tn, td), each target, the push and the slope
-    (reduced at each agent) are int pairs, each event is kept as its
-    distance from theta and the nearest is found by cross-multiplication,
-    so one normalised Fraction, the next theta, is built per event step.
-    A negative target can only occur at start, where the first pass
-    refuses it.  The events are a cut crossing a grid
-    breakpoint and the last agent's exhaustion: the value it has left over
-    its target, left = avail - tval, is affine between the other events and
-    falls at rate beta_n + d_n(pos) * slope > 0, so its root is the last
-    agent's only event (its own mark is never used).  The supremum is
-    attained (feasibility is a closed condition), including at points where
-    a cut jumps across a zero-density stretch.
+    call of the measure kernel's mark entry in its step mode
+    (Density._mark: one prefix evaluation and one goal locate), which
+    returns, all in ints, the value the agent has left over its target as a
+    pair, its maximal mark y as a reduced pair, and the slices right of its
+    start and of y, whose densities and next breakpoint the sweep reads.
+    The body works in ints: theta is held as a reduced pair (tn, td), and
+    each target, the position, the densities, the push and the slope
+    (reduced at each agent) are int pairs; each event is kept as its
+    distance from theta and the nearest is found by cross-multiplication.
+    Signs are read on numerators, and one Fraction is built per call: the
+    supremum returned, or the theta an error message quotes.  A negative
+    target can only occur at start, where the first pass refuses it.  The
+    events are a cut crossing a grid breakpoint and the last agent's
+    exhaustion: the value it has left over its target, left = avail -
+    tval, is affine between the other events and falls at rate beta_n +
+    d_n(pos) * slope > 0, so its root is the last agent's only event (its
+    own mark is never used).  The supremum is attained (feasibility is a
+    closed condition), including at points where a cut jumps across a
+    zero-density stretch.
 
     The chain certifies each step.  When every agent has avail > tval, the
     maximal chain at theta is complete; leftmost marks lie at or before
     maximal marks and are monotone in their start, so the greedy pass would
     succeed there too.  The greedy pass (_chain, on the int targets at
-    theta) runs only where the chain gets stuck, once per sweep: failing at start it returns None, failing after
-    a step it raises InvariantError; otherwise theta is the supremum, since
-    at any larger theta every leftmost mark lies beyond the stuck chain's
-    mark and the stuck agent's strictly larger target no longer fits.
+    theta) runs only where the chain gets stuck, once per sweep: failing at
+    start it returns None, failing after a step it raises InvariantError;
+    otherwise theta is the supremum, since at any larger theta every
+    leftmost mark lies beyond the stuck chain's mark and the stuck agent's
+    strictly larger target no longer fits.
     """
     # at theta = tn/td, agent i's target alpha + beta * theta is
     # (ta * td + tb * tn) / (tden * td)
-    lines = [(p.density(agent), a.numerator * b.denominator,
-              b.numerator * a.denominator, a.denominator * b.denominator,
-              b.numerator, b.denominator)
-             for agent, a, b in zip(pi, alphas, betas)]
-    if any(b <= 0 for b in betas):
+    lines = []
+    for agent, a, b in zip(pi, alphas, betas):
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        lines.append((p.density(agent), an * bd, bn * ad, ad * bd, bn, bd))
+    if any(bn <= 0 for *_, bn, _ in lines):
         raise CakeError("sweep requires strictly positive slopes")
-    theta = start = Fraction(start)
-    origin = Fraction(0)
+    tn, td = start.numerator, start.denominator
+    breakpoints = p.grid.breakpoints
     last = len(lines) - 1
     while True:
-        tn, td = theta.numerator, theta.denominator
-        pos = origin
+        xn, xd = 0, 1  # the position
         sn, sd = 0, 1  # the slope d pos / d theta
         for i, (d, ta, tb, tden, bn, bd) in enumerate(lines):
             num = ta * td + tb * tn
             if num < 0:  # targets rise with theta: only at start
                 raise CakeError("sweep targets must be nonnegative at start")
-            (ln, ld), y, right_of_pos, right_of_y, beyond = d._sweep_step(
-                pos, num, tden * td)
+            (ln, ld), y, k, j = d._mark(xn, xd, num, tden * td, 1, True, True)
             if ln <= 0:
                 break  # stuck: the chain does not certify theta
-            # push = beta + d(pos) * slope
-            rn, rd = right_of_pos.numerator, right_of_pos.denominator
-            pn, pd = bn * rd * sd + rn * sn * bd, bd * rd * sd
+            # push = beta + d(pos) * slope; the slope is 0 before the
+            # first agent's step
+            if sn:
+                v = d.values[k]
+                vn, vd = v.numerator, v.denominator
+                pn, pd = bn * vd * sd + vn * sn * bd, bd * vd * sd
+            else:
+                pn, pd = bn, bd
             if i == last:
                 dn, dd = ln * pd, ld * pn  # left / push
             else:
-                sn, sd = pn * right_of_y.denominator, pd * right_of_y.numerator
+                v = d.values[j]  # the slope is push / d(y)
+                sn, sd = pn * v.denominator, pd * v.numerator
                 g = gcd(sn, sd)
                 sn, sd = sn // g, sd // g
                 # (beyond - y) / slope
-                yn, yd = y.numerator, y.denominator
-                dn = (beyond.numerator * yd - yn * beyond.denominator) * sd
-                dd = beyond.denominator * yd * sn
-                pos = y
+                xn, xd = y
+                beyond = breakpoints[j + 1]
+                zn, zd = beyond.numerator, beyond.denominator
+                dn = (zn * xd - xn * zd) * sd
+                dd = zd * xd * sn
             # dn/dd is the event's distance beyond theta (> 0): keep the
             # nearest
             if i == 0 or dn * ed < en * dd:
                 en, ed = dn, dd
         else:
-            theta = Fraction(tn * ed + en * td, td * ed)
+            tn, td = tn * ed + en * td, td * ed
+            g = gcd(tn, td)
+            tn, td = tn // g, td // g
             continue
         # a stuck first pass has not checked the agents after the stuck one
         # at start; a later pass follows a complete first one
@@ -407,10 +421,11 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
         steps = ((d, ta * td + tb * tn, tden * td)
                  for d, ta, tb, tden, *_ in lines)
         if _chain(steps) is not None:
-            return theta
-        if theta == start:
+            return Fraction(tn, td)
+        if (tn, td) == (start.numerator, start.denominator):
             return None
-        raise InvariantError(f"sweep stepped to infeasible theta {theta}")
+        raise InvariantError(f"sweep stepped to infeasible theta "
+                             f"{Fraction(tn, td)}")
 
 
 def max_slack(p: Problem, pi: Sequence[str],

@@ -65,12 +65,15 @@ def test_cli_names_no_rule():
     assert sorted(string_literals(_tree(cli)) & set(RULES)) == []
 
 
-KERNEL_NAMES = {"scaled", "_locate"}
+KERNEL_NAMES = {"scaled", "_prefix"}
 
 
 def kernel_reads(tree) -> list[str]:
     """Every attribute, name or import named after the integer
-    representation: scaled or _locate."""
+    representation: scaled (the grid's and the density's ints) or _prefix
+    (the prefix evaluator, whose values are in the kernel's units).  The
+    mark and value entries, _mark and _value, return plain rational pairs
+    and may be called anywhere."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -94,10 +97,12 @@ def test_integer_measure_stays_in_cake_measure(path):
 
 
 def test_kernel_read_finder_sees_attributes_and_imports():
-    tree = ast.parse("from .cake_measure import _locate\n"
-                     "s, b = d.grid.scaled\nscaled = 1\n")
-    assert kernel_reads(tree) == ["_locate (line 1)", "scaled (line 2)",
-                                  "scaled (line 3)"]
+    tree = ast.parse("from .cake_measure import _prefix\n"
+                     "s, b = d.grid.scaled\nscaled = 1\n"
+                     "at = d._prefix(1, 2)\n")
+    assert sorted(kernel_reads(tree)) == [
+        "_prefix (line 1)", "_prefix (line 4)", "scaled (line 2)",
+        "scaled (line 3)"]
 
 
 def _private(name: str) -> bool:

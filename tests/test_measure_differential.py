@@ -14,7 +14,9 @@ corpus and as a Hypothesis property.
 """
 
 import bisect
+import inspect
 import random
+import textwrap
 from fractions import Fraction as F
 from functools import cache
 from itertools import accumulate
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cakecut import cake_measure
 from cakecut.cake_measure import (
     CakeError,
     Density,
@@ -327,14 +330,26 @@ def ref_sweep_step(d, pos, target):
 
 
 def sweep_step(d, pos, target):
-    """Density._sweep_step on the target's numerator and denominator, with
-    the value left, an int pair over a positive denominator, built as the
-    normalised Fraction the reference returns."""
-    (num, den), *rest = Density._sweep_step(d, pos, target.numerator,
-                                             target.denominator)
+    """Density._mark in its step mode (sign 1, last) on the numerators and
+    denominators of pos and the target, built in the reference's shape:
+    the value left, an int pair over a positive denominator, and the mark,
+    ints in lowest terms over a positive denominator, as normalised
+    Fractions, and the slice indices as the densities right of pos and of
+    the mark and the breakpoint after the mark's slice."""
+    (num, den), y, k, j = Density._mark(d, pos.numerator, pos.denominator,
+                                        target.numerator, target.denominator,
+                                        1, True, True)
     if type(num) is not int or type(den) is not int or den <= 0:
         raise TypeError(f"value left must be ints over den > 0: {num, den}")
-    return (F(num, den), *rest)
+    if y is None:
+        return F(num, den), None, None, None, None
+    yn, yd = y
+    if (type(yn) is not int or type(yd) is not int or yd <= 0
+            or gcd(yn, yd) != 1 or type(k) is not int or type(j) is not int):
+        raise TypeError(f"mark must be ints in lowest terms and slices "
+                        f"ints: {y, k, j}")
+    return (F(num, den), F(yn, yd), d.values[k], d.values[j],
+            d.grid.breakpoints[j + 1])
 
 
 def ref_value(d, iv):
@@ -427,12 +442,17 @@ def test_sweep_step_matches_reference():
 
 
 def test_sweep_step_differential_catches_first_for_last(monkeypatch):
-    """A kernel that takes the first point of a plateau where the sweep
-    step needs the last one fails the differential, on plateau goals
-    only."""
-    goal = Density._goal
-    monkeypatch.setattr(Density, "_goal",
-                        lambda d, g, den, last: goal(d, g, den, False))
+    """A kernel whose goal locate takes the first point of a plateau where
+    the sweep step needs the last one fails the differential, on plateau
+    goals only.  The goal locate is written inside the mark body, so the
+    mistake is made in a copy of that body's source: its one walk back
+    along a plateau, taken only for a first point, is taken always."""
+    source = textwrap.dedent(inspect.getsource(Density._mark))
+    walk_back = "if not last:"
+    assert source.count(walk_back) == 1
+    namespace = dict(vars(cake_measure))
+    exec(source.replace(walk_back, "if True:"), namespace)
+    monkeypatch.setattr(Density, "_mark", namespace["_mark"])
     mismatches = list(_step_mismatches())
     assert mismatches
     assert all(_on_plateau(d, x, t) for d, x, t, _, _ in mismatches)

@@ -14,13 +14,22 @@ and message, on three sets of lines (alphas, betas, start):
   cakes, from max_slack's start delta = 0 (the n >= 4 lines would double
   the file's time);
 - fixed-seed random lines with n = 1..4, negative alphas and starts past
-  the supremum included, each started where every target is nonnegative.
+  the supremum included, each started where every target is nonnegative;
+- the equitable and slack lines of tie-heavy cakes (every agent shares one
+  base row, plus its own zero stretch) at n = 2..6, where many orderings
+  and events tie: every ordering up to n = 5, a fixed-seed sample at 6.
 
 The oracle still clamps negative targets at zero; the sweep refuses them
-at start (CakeError), so no line here reaches a clamped target.
+at start (CakeError), so no line here reaches a clamped target.  The error
+paths are pinned on the tie-heavy cakes: a nonpositive slope, a negative
+target at start, and a step to an infeasible theta (InvariantError, under
+python -O too).
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import permutations
@@ -34,6 +43,7 @@ from cakecut.cake_measure import (
     maximal_mark,
     total,
 )
+from cakecut import divisions
 from cakecut.divisions import (
     ABSOLUTE,
     RELATIVE,
@@ -48,6 +58,7 @@ from cakecut.rules_monotone import (
 
 from test_pruned_search import (
     _random_problem,
+    _tie_heavy_problem,
     corpus,
     mark_chain,
     proportional_bound,
@@ -142,21 +153,21 @@ def scale_line(p, pi, mode):
     return [F(0)] * len(pi), betas
 
 
-def equitable_lines(p):
+def equitable_lines(p, orderings=None):
     for mode in (RELATIVE, ABSOLUTE):
-        for pi in permutations(p.agents):
+        for pi in orderings or permutations(p.agents):
             alphas, betas = scale_line(p, pi, mode)
             own = equitable_for_ordering(p, pi, mode).value
             for start in (proportional_bound(p, mode), F(0), own):
                 yield p, pi, alphas, betas, start
 
 
-def slack_lines(p):
+def slack_lines(p, orderings=None):
     for x in (max_equitable(p, RELATIVE).divisions[0],
               max_equitable(p, ABSOLUTE).divisions[0],
               exact_proportional(p)):
         base = utilities(p, x)
-        for pi in permutations(p.agents):
+        for pi in orderings or permutations(p.agents):
             alphas = [base.absolute[a] for a in pi]
             betas = [total(p.density(a)) for a in pi]
             yield p, pi, alphas, betas, F(0)
@@ -226,3 +237,127 @@ def test_lines_reach_every_case():
     for n in (1, 2, 3, 4):
         seen |= random_cases(n)
     assert seen == {"none", "last-crossing"}
+
+
+TIE_HEAVY_NS = (2, 3, 4, 5, 6)
+SAMPLED_ORDERINGS = 120  # of the 720 at n = 6
+
+
+@lru_cache(maxsize=None)
+def tie_heavy_cake(n):
+    return _tie_heavy_problem(random.Random(7927 * n), n)
+
+
+@lru_cache(maxsize=None)
+def tie_heavy_cases(n, kind):
+    p = tie_heavy_cake(n)
+    orderings = list(permutations(p.agents))
+    if n > 5:
+        orderings = random.Random(7933).sample(orderings, SAMPLED_ORDERINGS)
+    lines = equitable_lines if kind == "equitable" else slack_lines
+    return compare(lines(p, orderings))
+
+
+@pytest.mark.parametrize("kind", ["equitable", "slack"])
+@pytest.mark.parametrize("n", TIE_HEAVY_NS)
+def test_tie_heavy_lines_match_oracle(n, kind):
+    tie_heavy_cases(n, kind)
+
+
+def test_tie_heavy_cakes_tie():
+    """Every agent's row is the base row outside its own zero stretch, and
+    some ordering ties another's equitable value at every n."""
+    for n in TIE_HEAVY_NS:
+        p = tie_heavy_cake(n)
+        assert all(len(set(column) - {0}) <= 1 for column in zip(*(
+            d.values for d in p.densities)))
+        assert len(max_equitable(p, RELATIVE).orderings) > 1
+
+
+def test_tie_heavy_lines_reach_every_case():
+    seen = set()
+    for n in TIE_HEAVY_NS:
+        seen |= tie_heavy_cases(n, "equitable") | tie_heavy_cases(n, "slack")
+    assert seen == {"none", "last-crossing"}
+
+
+# ---------------------------------------------------------------------------
+# Error paths, on the tie-heavy cakes (test_divisions pins each on one
+# hand-made cake): every message must be the one the sweep gave before its
+# body moved onto int pairs, and a step to an infeasible theta must quote
+# the oracle's supremum.
+
+
+def tie_heavy_line(n):
+    """The relative equitable line of the tie-heavy cake's own ordering."""
+    p = tie_heavy_cake(n)
+    return p, p.agents, [F(0)] * n, [total(d) for d in p.densities]
+
+
+@pytest.mark.parametrize("n", TIE_HEAVY_NS)
+def test_nonpositive_slope_is_refused(n):
+    p, pi, alphas, betas = tie_heavy_line(n)
+    for i in range(n):
+        for bad in (F(0), F(-1, 2)):
+            line = p, pi, alphas, [*betas[:i], bad, *betas[i + 1:]], F(0)
+            outcome = run(sup_uniform_feasible, line)
+            assert outcome == run(oracle_sup_uniform_feasible, line)
+            assert outcome[1] == ("CakeError: sweep requires strictly "
+                                  "positive slopes")
+
+
+@pytest.mark.parametrize("n", TIE_HEAVY_NS)
+def test_negative_target_at_start_is_refused(n):
+    """A negative target at start is refused wherever its agent stands:
+    reached by a complete first pass, or behind the first agent, which is
+    stuck at start (its target exceeds its total)."""
+    p, pi, alphas, betas = tie_heavy_line(n)
+    over_the_total = betas[0] + 1  # the first agent's target at start
+    for i in range(n):
+        bad = [*alphas[:i], F(-1), *alphas[i + 1:]]
+        cases = [bad, [over_the_total, *bad[1:]]] if i else [bad]
+        for case in cases:
+            with pytest.raises(CakeError, match="^sweep targets must be "
+                                                "nonnegative at start$"):
+                sup_uniform_feasible(p, pi, case, betas, F(0))
+
+
+def _sups(n):
+    """The tie-heavy line's supremum from 0, by the oracle."""
+    return oracle_sup_uniform_feasible(*tie_heavy_line(n), F(0))
+
+
+@pytest.mark.parametrize("n", TIE_HEAVY_NS)
+def test_step_to_an_infeasible_theta_raises(n, monkeypatch):
+    """A certifying pass that fails after the sweep has stepped raises
+    InvariantError quoting the theta it stepped to, the supremum; one that
+    fails at start means start is infeasible (None)."""
+    line = tie_heavy_line(n)
+    sup = _sups(n)
+    assert sup > 0
+    monkeypatch.setattr(divisions, "_chain", lambda steps: None)
+    with pytest.raises(InvariantError,
+                       match=f"^sweep stepped to infeasible theta {sup}$"):
+        sup_uniform_feasible(*line, F(0))
+    assert sup_uniform_feasible(*line, sup) is None
+
+
+def test_step_to_an_infeasible_theta_raises_under_python_O():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from cakecut import divisions\n"
+        "from cakecut.cake_measure import InvariantError\n"
+        "from test_sweep_differential import TIE_HEAVY_NS, tie_heavy_line\n"
+        "divisions._chain = lambda steps: None\n"
+        "for n in TIE_HEAVY_NS:\n"
+        "    try:\n"
+        "        divisions.sup_uniform_feasible(*tie_heavy_line(n), F(0))\n"
+        "    except InvariantError as e:\n"
+        "        print(e)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "".join(
+        f"sweep stepped to infeasible theta {_sups(n)}\n"
+        for n in TIE_HEAVY_NS)
