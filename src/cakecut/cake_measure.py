@@ -92,6 +92,14 @@ class SliceGrid:
         return tuple(Fraction(x, s) for x in b)
 
     @cached_property
+    def breakpoint_pairs(self) -> tuple[int, ...]:
+        """The int-pair view of breakpoints, flat: breakpoints[k] is
+        breakpoint_pairs[2k] / breakpoint_pairs[2k + 1], in lowest
+        terms."""
+        return tuple(x for z in self.breakpoints
+                     for x in (z.numerator, z.denominator))
+
+    @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """(S, B): S = lcm of the length (equally, breakpoint)
         denominators, B[k] = breakpoints[k] * S as an int."""
@@ -103,21 +111,29 @@ class SliceGrid:
     def cake_length(self) -> Rat:
         return self.breakpoints[-1]
 
-    def slice_right_of(self, x: Rat) -> int:
-        """Index of the slice immediately to the right of x (requires x < c)."""
+    def _right_of(self, num: int, den: int) -> int:
+        """Int placement: k with B[k] <= x * S < B[k + 1] for the point x =
+        num/den (den > 0), the slice right of x for 0 <= x < c; -1 left
+        of the cake, len(lengths) at or beyond c."""
         s, b = self.scaled
-        q = x.numerator * s // x.denominator
-        if q < 0 or q >= b[-1]:  # x < 0 or x >= c
+        return bisect_right(b, num * s // den) - 1
+
+    def slice_right_of(self, x: Rat) -> int:
+        """Index of the slice immediately to the right of x (requires 0 <=
+        x < c): a public Fraction wrapper over _right_of, with no library
+        caller."""
+        k = self._right_of(x.numerator, x.denominator)
+        if not 0 <= k < len(self.lengths):
             raise CakeError(f"point {x} has no slice to its right")
-        return bisect_right(b, q) - 1
+        return k
 
     def next_breakpoint(self, x: Rat) -> Rat:
-        """Smallest breakpoint strictly greater than x (requires x < c)."""
-        s, b = self.scaled
-        q = x.numerator * s // x.denominator
-        if q >= b[-1]:  # x >= c
+        """Smallest breakpoint strictly greater than x (requires x < c): a
+        public Fraction wrapper over _right_of, with no library caller."""
+        k = self._right_of(x.numerator, x.denominator)
+        if k == len(self.lengths):  # x >= c
             raise CakeError(f"no breakpoint beyond {x}")
-        return self.breakpoints[bisect_right(b, q)]
+        return self.breakpoints[k + 1]
 
 
 @dataclass(frozen=True)
@@ -167,6 +183,15 @@ class Density:
             ((hi - lo) * r for lo, hi, r in zip(b, b[1:], rate)), initial=0))
         g = gcd(s * d, *p, *rate)
         return s * d // g, tuple(x // g for x in p), tuple(x // g for x in rate)
+
+    @cached_property
+    def value_pairs(self) -> tuple[int, ...]:
+        """The int-pair view of values, flat: values[k] is
+        value_pairs[2k] / value_pairs[2k + 1], in lowest terms.  The sweep
+        and the moving knife's slides read densities here, at the slice
+        indices _mark's step mode and SliceGrid._right_of return."""
+        return tuple(x for v in self.values
+                     for x in (v.numerator, v.denominator))
 
     @cached_property
     def _total(self) -> Rat:
@@ -266,7 +291,9 @@ class Density:
         return Fraction(at[1], self.scaled[0] * xd)
 
     def density_right_of(self, x: Rat) -> Rat:
-        """Constant density on the slice immediately right of x."""
+        """Constant density on the slice immediately right of x: a public
+        Fraction wrapper over SliceGrid._right_of (through slice_right_of),
+        with no library caller."""
         return self.values[self.grid.slice_right_of(x)]
 
 

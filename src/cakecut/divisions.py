@@ -16,9 +16,9 @@ and decides Pareto optimality in n * 2^(n-1) marks instead of n * n!
 (ordering, pivot) pairs.
 An exact parametric sweep over a uniform slack parameter decides weak
 Pareto optimality (max_slack) and finds each ordering's equitable value:
-its steps are the same mark entry in its step mode, its body carries the
-position, theta and the densities as int pairs, and it builds one
-Fraction per call.
+its steps are the same mark entry in its step mode, and its int core
+(_sweep) carries the position, theta, the densities and the breakpoints
+as int pairs; the public wrapper builds one Fraction per call.
 """
 
 from __future__ import annotations
@@ -331,19 +331,47 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     feasible start ends at the same exact supremum.  Callers pass a floor
     as start to skip orderings that cannot reach it.
 
+    The public Fraction wrapper over the sweep's int core, _sweep, on the
+    lines _sweep_line prepares; max_equitable prepares its lines once per
+    call and runs the core itself.
+    """
+    lines = [_sweep_line(p.density(a), alpha.numerator, alpha.denominator,
+                         beta.numerator, beta.denominator)
+             for a, alpha, beta in zip(pi, alphas, betas)]
+    if any(bn <= 0 for *_, bn, _ in lines):
+        raise CakeError("sweep requires strictly positive slopes")
+    sup = _sweep(lines, (start.numerator, start.denominator))
+    return None if sup is None else Fraction(*sup)
+
+
+def _sweep_line(d: Density, an: int, ad: int, bn: int, bd: int) -> tuple:
+    """The int line of the target alpha + beta * theta on d, for alpha =
+    an/ad and beta = bn/bd (positive denominators): (d, ta, tb, tden, bn,
+    bd), where the target at theta = tn/td is (ta * td + tb * tn) / (tden
+    * td)."""
+    return d, an * bd, bn * ad, ad * bd, bn, bd
+
+
+def _sweep(lines: Sequence[tuple], start: tuple[int, int]
+           ) -> Optional[tuple[int, int]]:
+    """sup_uniform_feasible's int core: the supremum over the _sweep_line
+    lines (in ordering order, slopes strictly positive) from the reduced
+    pair start, as a reduced pair, or None when start is infeasible.
+
     Exact event sweep over the chain of maximal marks: between events every
     cut position is an affine function of theta.  Each agent's step is one
     call of the measure kernel's mark entry in its step mode
     (Density._mark: one prefix evaluation and one goal locate), which
     returns, all in ints, the value the agent has left over its target as a
     pair, its maximal mark y as a reduced pair, and the slices right of its
-    start and of y, whose densities and next breakpoint the sweep reads.
-    The body works in ints: theta is held as a reduced pair (tn, td), and
-    each target, the position, the densities, the push and the slope
-    (reduced at each agent) are int pairs; each event is kept as its
-    distance from theta and the nearest is found by cross-multiplication.
-    Signs are read on numerators, and one Fraction is built per call: the
-    supremum returned, or the theta an error message quotes.  A negative
+    start and of y, whose densities and next breakpoint the sweep reads
+    from the int-pair views (Density.value_pairs and
+    SliceGrid.breakpoint_pairs).  The body works in ints: theta is held as
+    a reduced pair (tn, td), and each target, the position, the densities,
+    the push and the slope (reduced at each agent) are int pairs; each
+    event is kept as its distance from theta and the nearest is found by
+    cross-multiplication.  Signs are read on numerators, and no
+    Fraction is built but the theta an error message quotes.  A negative
     target can only occur at start, where the first pass refuses it.  The
     events are a cut crossing a grid breakpoint and the last agent's
     exhaustion: the value it has left over its target, left = avail -
@@ -363,16 +391,8 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     leftmost mark lies beyond the stuck chain's mark and the stuck agent's
     strictly larger target no longer fits.
     """
-    # at theta = tn/td, agent i's target alpha + beta * theta is
-    # (ta * td + tb * tn) / (tden * td)
-    lines = []
-    for agent, a, b in zip(pi, alphas, betas):
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        lines.append((p.density(agent), an * bd, bn * ad, ad * bd, bn, bd))
-    if any(bn <= 0 for *_, bn, _ in lines):
-        raise CakeError("sweep requires strictly positive slopes")
-    tn, td = start.numerator, start.denominator
-    breakpoints = p.grid.breakpoints
+    tn, td = start
+    breakpoints = lines[0][0].grid.breakpoint_pairs
     last = len(lines) - 1
     while True:
         xn, xd = 0, 1  # the position
@@ -384,25 +404,25 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
             (ln, ld), y, k, j = d._mark(xn, xd, num, tden * td, 1, True, True)
             if ln <= 0:
                 break  # stuck: the chain does not certify theta
+            rates = d.value_pairs
             # push = beta + d(pos) * slope; the slope is 0 before the
             # first agent's step
             if sn:
-                v = d.values[k]
-                vn, vd = v.numerator, v.denominator
+                vn, vd = rates[2 * k], rates[2 * k + 1]
                 pn, pd = bn * vd * sd + vn * sn * bd, bd * vd * sd
             else:
                 pn, pd = bn, bd
             if i == last:
                 dn, dd = ln * pd, ld * pn  # left / push
             else:
-                v = d.values[j]  # the slope is push / d(y)
-                sn, sd = pn * v.denominator, pd * v.numerator
+                # the slope is push / d(y)
+                j *= 2
+                sn, sd = pn * rates[j + 1], pd * rates[j]
                 g = gcd(sn, sd)
                 sn, sd = sn // g, sd // g
-                # (beyond - y) / slope
+                # (z - y) / slope, z the breakpoint right of y's slice
                 xn, xd = y
-                beyond = breakpoints[j + 1]
-                zn, zd = beyond.numerator, beyond.denominator
+                zn, zd = breakpoints[j + 2], breakpoints[j + 3]
                 dn = (zn * xd - xn * zd) * sd
                 dd = zd * xd * sn
             # dn/dd is the event's distance beyond theta (> 0): keep the
@@ -421,8 +441,8 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
         steps = ((d, ta * td + tb * tn, tden * td)
                  for d, ta, tb, tden, *_ in lines)
         if _chain(steps) is not None:
-            return Fraction(tn, td)
-        if (tn, td) == (start.numerator, start.denominator):
+            return tn, td
+        if (tn, td) == start:
             return None
         raise InvariantError(f"sweep stepped to infeasible theta "
                              f"{Fraction(tn, td)}")

@@ -1,13 +1,15 @@
 """Monotone division rules: exact-proportional, relative- and
 absolute-equitable (the parametric sweep finds each ordering's value; the
 moving knife's final slides build the division there and certify that
-value), and the rightmost-mark rule for two agents.
+value, all on int pairs from the sweep to the certified cuts), and the
+rightmost-mark rule for two agents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .cake_measure import (
@@ -20,15 +22,16 @@ from .cake_measure import (
     rightmost_mark,
     total,
     total_pair,
-    value,
 )
 from .divisions import (
     ABSOLUTE,
     RELATIVE,
     Division,
+    _chain,
+    _sweep,
+    _sweep_line,
     division_from_cuts,
     fitting_orderings,
-    greedy_fit,
     sup_uniform_feasible,
 )
 from .rules_classic import lowest_mark_rounds
@@ -56,10 +59,10 @@ class EquitableResult:
 class RuleOutput:
     """A rule's output set; the equitable rules add the common value, the
     absolute utility vector every division of the set gives (value *
-    scale_a, certified by equitable_for_ordering) and, maximised over
-    orderings, the argmax ordering of each division.  utilities is None
-    when the rule does not know it; utilities(p, x, mode).absolute values
-    each division then."""
+    scale_a, certified by the moving knife's builder, _knife_cuts) and,
+    maximised over orderings, the argmax ordering of each division.
+    utilities is None when the rule does not know it; utilities(p, x,
+    mode).absolute values each division then."""
 
     divisions: list[Division]
     value: Optional[Rat] = None
@@ -67,23 +70,35 @@ class RuleOutput:
     utilities: Optional[dict[str, Rat]] = None
 
 
-def _scales(p: Problem, mode: str) -> dict[str, Rat]:
+def _scales(p: Problem, mode: str) -> dict[str, tuple[int, int]]:
+    """Each agent's scale as a reduced int pair: its total value in
+    relative mode, 1 in absolute mode."""
     if mode == RELATIVE:
-        return {a: total(p.density(a)) for a in p.agents}
+        return {a: (v.numerator, v.denominator)
+                for a, v in zip(p.agents, map(total, p.densities))}
     if mode == ABSOLUTE:
-        return {a: Fraction(1) for a in p.agents}
+        return dict.fromkeys(p.agents, (1, 1))
     raise CakeError(f"unknown value mode {mode!r}")
+
+
+def _scaled(scale: dict[str, tuple[int, int]], v: tuple[int, int]
+            ) -> dict[str, Rat]:
+    """v * scale_a for each agent, one Fraction each."""
+    vn, vd = v
+    return {a: Fraction(vn * sn, vd * sd) for a, (sn, sd) in scale.items()}
 
 
 def _equal_utilities(p: Problem, mode: str, v: Rat) -> dict[str, Rat]:
     """Absolute utilities of an equitable division at the value v."""
-    return {a: v * s for a, s in _scales(p, mode).items()}
+    return _scaled(_scales(p, mode), (v.numerator, v.denominator))
 
 
-def _proportional_floor(p: Problem, scale: dict[str, Rat]) -> Rat:
+def _proportional_floor(p: Problem, scale: dict[str, tuple[int, int]]
+                        ) -> Rat:
     """L = min_i(V_i / scale_i) / n: 1/n in relative mode, min_i V_i / n in
     absolute mode; the ordering of exact_proportional reaches it."""
-    return min(total(d) / scale[a] for a, d in zip(p.agents, p.densities)) / p.n
+    return min(Fraction(vn * sd, vd * sn * p.n) for (vn, vd), (sn, sd)
+               in zip(map(total_pair, p.densities), scale.values()))
 
 
 def exact_proportional(p: Problem) -> Division:
@@ -146,11 +161,12 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
     done, the knives form the chain of maximal marks at that value, and a
     maximal mark whose target rises to g tends to the first point worth g,
     so the knife run from t = 0 arrives at t = v with the knives on the
-    greedy_fit chain at v * scale_i.  The loop starts there and runs only
-    the phase-2 slides at v.  The slides certify v: greedy_fit fails when v
-    is above the ordering's value, and below it the slides end, with no
-    knife blocked, before the last knife reaches the end of the cake; both,
-    and a negative v, raise InvariantError.
+    greedy_fit chain at v * scale_i.  _knife_cuts, the builder
+    max_equitable shares, starts there, runs only the phase-2 slides at v,
+    on int pairs, and certifies v: the chain fails when v is above the
+    ordering's value, and below it the slides end, with no knife blocked,
+    before the last knife reaches the end of the cake; both, a piece not
+    worth v * scale, and a negative v raise InvariantError.
     """
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
@@ -160,35 +176,86 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
     if v < 0:
         raise InvariantError(f"value {v} is below the ordering's value")
     scale = _scales(p, mode)
-    x = greedy_fit(p, pi, {a: v * scale[a] for a in pi})
+    lines = [_sweep_line(p.density(a), 0, 1, *scale[a]) for a in pi]
+    cuts = _knife_cuts(p, pi, lines, (v.numerator, v.denominator))
+    return EquitableResult(pi, cuts, v, mode)
+
+
+def _knife_cuts(p: Problem, pi: Sequence[str], lines: Sequence[tuple],
+                v: tuple[int, int]) -> tuple[Rat, ...]:
+    """The moving knife's cuts in the ordering pi at its value v = vn/vd
+    (vn >= 0; see equitable_for_ordering), one Fraction per cut, from the
+    ordering's sweep lines (_sweep_line, alpha 0 and beta the scale), whose
+    target at v is v * scale.
+
+    All in int pairs: the greedy chain at v * scale (_chain; None means v
+    is above the ordering's value), then the slides.  At each slide every
+    knife is placed on the grid (SliceGrid._right_of); the rightmost knife
+    r on a zero-density slice of its own agent slides at unit speed, and
+    each knife k right of it at speed_{k-1} * d_k(x_{k-1}) / d_k(x_k), so
+    that its piece keeps its value; the step is the nearest arrival of a
+    moving knife at its next breakpoint.  Densities and breakpoints are
+    read from the int-pair views (Density.value_pairs and
+    SliceGrid.breakpoint_pairs).  No blocked knife while the last is
+    short of the end of the cake means v is below the ordering's value.
+    Every piece is then certified worth v * scale by cross-multiplying
+    Density._value with its target.  Each failure raises InvariantError,
+    under python -O too.
+    """
+    vn, vd = v
+    targets = [(ta * vd + tb * vn, tden * vd) for _, ta, tb, tden, *_ in lines]
+    dens = [line[0] for line in lines]
+    x = _chain((d, tn, td) for d, (tn, td) in zip(dens, targets))
     if x is None:
-        raise InvariantError(f"value {v} is above the ordering's value")
-    dens = [p.density(a) for a in pi]
-    n = len(pi)
-    c = p.cake_length
+        raise InvariantError(f"value {Fraction(vn, vd)} is above the "
+                             f"ordering's value")
     grid = p.grid
+    z = grid.breakpoint_pairs
+    c = z[-2], z[-1]
+    m = len(grid.lengths)
     while x[-1] != c:
-        # the rightmost blocked knife r slides at unit speed; every knife
-        # right of it keeps its piece worth what it was
-        blocked = [i for i in range(n)
-                   if x[i] < c and dens[i].density_right_of(x[i]) == 0]
-        if not blocked:
-            raise InvariantError(f"value {v} is below the ordering's value")
-        r = blocked[-1]
-        speed = [Fraction(0)] * n
-        speed[r] = Fraction(1)
-        for k in range(r + 1, n):
-            speed[k] = (dens[k].density_right_of(x[k - 1]) * speed[k - 1]
-                        / dens[k].density_right_of(x[k]))
-        step = min((grid.next_breakpoint(xi) - xi) / si
-                   for xi, si in zip(x, speed) if si)
-        x = [xi + si * step for xi, si in zip(x, speed)]
-    lo = Fraction(0)
-    for a, d, hi in zip(pi, dens, x):
-        if value(d, Interval(lo, hi)) != v * scale[a]:
-            raise InvariantError(f"piece of {a} is not worth {v} * scale")
+        at = [2 * grid._right_of(xn, xd) for xn, xd in x]  # flat indices
+        r = -1
+        for i, (d, k) in enumerate(zip(dens, at)):
+            if k < 2 * m and not d.value_pairs[k]:
+                r = i
+        if r < 0:
+            raise InvariantError(f"value {Fraction(vn, vd)} is below the "
+                                 f"ordering's value")
+        # knife r moves at speed 1 to its next breakpoint: the step so far
+        # is (z - x_r) / 1
+        xn, xd = x[r]
+        k = at[r]
+        en, ed = z[k + 2] * xd - xn * z[k + 3], z[k + 3] * xd
+        speeds = [(1, 1)]
+        sn, sd = 1, 1
+        for i in range(r + 1, len(x)):
+            rates = dens[i].value_pairs
+            h, k = at[i - 1], at[i]
+            sn, sd = rates[h] * rates[k + 1] * sn, rates[h + 1] * rates[k] * sd
+            g = gcd(sn, sd)
+            sn, sd = sn // g, sd // g
+            speeds.append((sn, sd))
+            if sn:  # (z - x_i) / speed, kept if nearer
+                xn, xd = x[i]
+                zn, zd = z[k + 2], z[k + 3]
+                dn, dd = (zn * xd - xn * zd) * sd, zd * xd * sn
+                if dn * ed < en * dd:
+                    en, ed = dn, dd
+        for i, (sn, sd) in enumerate(speeds, r):
+            if sn:  # x_i + speed * step
+                xn, xd = x[i]
+                yn, yd = xn * sd * ed + sn * en * xd, xd * sd * ed
+                g = gcd(yn, yd)
+                x[i] = yn // g, yd // g
+    lo = 0, 1
+    for a, d, (tn, td), hi in zip(pi, dens, targets, x):
+        wn, wd = d._value(*lo, *hi)
+        if wn * td != tn * wd:
+            raise InvariantError(f"piece of {a} is not worth "
+                                 f"{Fraction(vn, vd)} * scale")
         lo = hi
-    return EquitableResult(pi, tuple(x[:-1]), v, mode)
+    return tuple(Fraction(*y) for y in x[:-1])
 
 
 def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
@@ -198,7 +265,9 @@ def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
     slides certify it."""
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
-    return sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], Fraction(0))
+    return sup_uniform_feasible(p, pi, zeros,
+                                [Fraction(*scale[a]) for a in pi],
+                                Fraction(0))
 
 
 def max_equitable(p: Problem, mode: str) -> RuleOutput:
@@ -206,35 +275,40 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     all agent orderings; returns the moving-knife divisions of all argmax
     orderings, in permutation order.
 
-    The search keeps a floor: the best value so far, or before that the
-    proportional bound L (see _proportional_floor).  fitting_orderings walks
-    the orderings with targets floor * scale_i, refilled when the floor
-    rises and read when each cut is taken, and prunes every ordering whose
-    prefix does not fit; the floor only rises, so pruning from cuts taken
-    at an earlier floor never drops an ordering that reaches the current
-    one.  Each ordering it yields is swept from the floor, which returns
-    None for one that no longer reaches it.  Each winner's division is
-    built at the best value, and its slides certify that value (see
-    equitable_for_ordering), so a wrong sweep value raises InvariantError;
-    each division's pieces are checked to be worth best * scale_a, which is
-    the output's one utility vector.
+    Each agent's scale and sweep line (_sweep_line) is prepared once per
+    call, and the search runs on int pairs.  It keeps a floor, as a pair:
+    the best value so far, or before that the proportional bound L (see
+    _proportional_floor).  fitting_orderings walks the orderings with
+    targets floor * scale_i, rebuilt as Fractions when the floor rises and
+    read when each cut is taken, and prunes every ordering whose prefix
+    does not fit; the floor only rises, so pruning from cuts taken at an
+    earlier floor never drops an ordering that reaches the current one.
+    Each ordering it yields is swept from the floor by the sweep's int core
+    (_sweep), which returns None for one that no longer reaches it.  Each
+    winner's cuts are built at the best value by _knife_cuts, the builder
+    equitable_for_ordering runs, whose chain and slides certify that value
+    and whose per-piece check certifies every piece worth best * scale_a,
+    so a wrong sweep value raises InvariantError; best * scale is the
+    output's one utility vector.
     """
     scale = _scales(p, mode)
-    zeros = [Fraction(0)] * p.n
-    best = _proportional_floor(p, scale)
-    targets = {a: best * scale[a] for a in p.agents}
+    lines = {a: _sweep_line(d, 0, 1, *scale[a])
+             for a, d in zip(p.agents, p.densities)}
+    floor = _proportional_floor(p, scale)
+    best = floor.numerator, floor.denominator
+    targets = _scaled(scale, best)
     winners: list[tuple[str, ...]] = []
     for pi in fitting_orderings(p, targets.__getitem__):
-        v = sup_uniform_feasible(p, pi, zeros, [scale[a] for a in pi], best)
+        v = _sweep([lines[a] for a in pi], best)
         if v is None:
             continue
-        if v > best:  # else v == best
+        if v[0] * best[1] > best[0] * v[1]:  # else v == best
             best, winners = v, []
-            targets.update((a, v * scale[a]) for a in p.agents)
+            targets.update(_scaled(scale, v))
         winners.append(pi)
     if not winners:
         raise CakeError("no ordering reaches the proportional bound")
-    divisions = [equitable_for_ordering(p, pi, mode, best).division(p)
-                 for pi in winners]
-    return RuleOutput(divisions, best, winners,
-                      utilities=_equal_utilities(p, mode, best))
+    divisions = [division_from_cuts(p, pi, _knife_cuts(
+        p, pi, [lines[a] for a in pi], best)) for pi in winners]
+    # the targets at the last floor are best * scale_a, the utilities
+    return RuleOutput(divisions, Fraction(*best), winners, utilities=targets)

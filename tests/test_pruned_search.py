@@ -140,10 +140,11 @@ def test_max_equitable_matches_enumerator(index, mode):
 @pytest.mark.parametrize("mode", [RELATIVE, ABSOLUTE])
 def test_max_equitable_walk_reads_the_current_floor(monkeypatch, mode):
     """Every target the ordering walk reads is the floor at that moment
-    times the agent's scale: the proportional bound until a sweep returns
-    more, then the best value swept so far."""
+    times the agent's scale: the proportional bound until a sweep (the
+    int core, _sweep, which returns pairs) returns more, then the best
+    value swept so far."""
     floor, reads = [], []
-    walk, sweep = rm.fitting_orderings, rm.sup_uniform_feasible
+    walk, sweep = rm.fitting_orderings, rm._sweep
 
     def traced_walk(p, target):
         def read(a):
@@ -154,11 +155,11 @@ def test_max_equitable_walk_reads_the_current_floor(monkeypatch, mode):
     def traced_sweep(*args):
         v = sweep(*args)
         if v is not None:
-            floor[0] = max(floor[0], v)
+            floor[0] = max(floor[0], F(*v))
         return v
 
     monkeypatch.setattr(rm, "fitting_orderings", traced_walk)
-    monkeypatch.setattr(rm, "sup_uniform_feasible", traced_sweep)
+    monkeypatch.setattr(rm, "_sweep", traced_sweep)
     raised = 0
     for p in corpus():
         scale = {a: total(p.density(a)) if mode == RELATIVE else 1

@@ -13,6 +13,7 @@ import pytest
 from cakecut import rules_monotone
 from cakecut.cake_measure import (
     CakeError,
+    Density,
     Interval,
     InvariantError,
     append,
@@ -211,21 +212,26 @@ class TestMaxEquitable:
         assert any(not check_ef(p, x) for x in rel.divisions)
 
 
+def pair(x):
+    return x.numerator, x.denominator
+
+
 class TestSelfChecks:
-    """The slides certify the sweep's value: a skewed value reaching
-    max_equitable raises InvariantError, in process and under python -O."""
+    """The builder certifies the sweep's value: a skewed value reaching
+    max_equitable's int-pair core (_sweep, then _knife_cuts) raises
+    InvariantError, in process and under python -O, and so does a piece
+    that its value entry (Density._value) does not find worth the value."""
 
     def test_skewed_sweep_value_raises(self, monkeypatch):
-        real = rules_monotone.sup_uniform_feasible
+        real = rules_monotone._sweep
         for skew, match in ((F(1, 10**6), "above the ordering's value"),
                             (-F(1, 10**6), "below the ordering's value")):
 
             def skewed(*args):
                 v = real(*args)
-                return None if v is None else v + skew
+                return None if v is None else pair(F(*v) + skew)
 
-            monkeypatch.setattr(rules_monotone, "sup_uniform_feasible",
-                                skewed)
+            monkeypatch.setattr(rules_monotone, "_sweep", skewed)
             with pytest.raises(InvariantError, match=match):
                 max_equitable(halves_pair(), RELATIVE)
 
@@ -234,10 +240,13 @@ class TestSelfChecks:
             "from fractions import Fraction\n"
             "from cakecut import rules_monotone as rm\n"
             "from cakecut.cake_measure import InvariantError, problem\n"
-            "real = rm.sup_uniform_feasible\n"
+            "real = rm._sweep\n"
             "p = problem(['A', 'B'], [1, 1], [[1, 1], [1, 3]])\n"
             "for skew in (Fraction(1, 10**6), -Fraction(1, 10**6)):\n"
-            "    rm.sup_uniform_feasible = lambda *a: real(*a) + skew\n"
+            "    def skewed(*a):\n"
+            "        v = Fraction(*real(*a)) + skew\n"
+            "        return v.numerator, v.denominator\n"
+            "    rm._sweep = skewed\n"
             "    try:\n"
             "        rm.max_equitable(p, 'relative')\n"
             "    except InvariantError as e:\n"
@@ -255,13 +264,13 @@ class TestSelfChecks:
         divisions are built at must be certified without asserts: on a
         cake with several argmax orderings, the output's vector is each
         division's valued utilities, and a value a millionth above or
-        below the sweep's, handed to equitable_for_ordering, raises."""
+        below the sweep's, handed to the builder, raises."""
         code = (
             "from fractions import Fraction\n"
             "from cakecut import rules_monotone as rm\n"
             "from cakecut.cake_measure import InvariantError, problem\n"
             "from cakecut.divisions import utilities\n"
-            "real = rm.equitable_for_ordering\n"
+            "real = rm._knife_cuts\n"
             "p = problem(['A', 'B', 'C'], [1] * 4,\n"
             "            [[0, 2, 0, 1], [0, 1, 0, 0], [1, 2, 1, 1]])\n"
             "for mode in ('relative', 'absolute'):\n"
@@ -270,13 +279,16 @@ class TestSelfChecks:
             "        utilities(p, x).absolute == out.utilities\n"
             "        for x in out.divisions))\n"
             "    for skew in (Fraction(1, 10**6), -Fraction(1, 10**6)):\n"
-            "        rm.equitable_for_ordering = (\n"
-            "            lambda q, pi, m, v: real(q, pi, m, v + skew))\n"
+            "        def skewed(q, pi, lines, v):\n"
+            "            v = Fraction(*v) + skew\n"
+            "            v = v.numerator, v.denominator\n"
+            "            return real(q, pi, lines, v)\n"
+            "        rm._knife_cuts = skewed\n"
             "        try:\n"
             "            rm.max_equitable(p, mode)\n"
             "        except InvariantError as e:\n"
             "            print(e)\n"
-            "    rm.equitable_for_ordering = real\n"
+            "    rm._knife_cuts = real\n"
         )
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, check=True,
@@ -288,6 +300,46 @@ class TestSelfChecks:
             "2 True\n"
             "value 1000001/1000000 is above the ordering's value\n"
             "value 999999/1000000 is below the ordering's value\n")
+
+    def test_piece_not_worth_the_value_raises(self, monkeypatch):
+        """Density._value reading every piece a unit of value above what
+        it is worth fails the per-piece certificate at the first piece."""
+        real = Density._value
+
+        def inflated(d, *ends):
+            wn, wd = real(d, *ends)
+            return wn + wd, wd
+
+        monkeypatch.setattr(Density, "_value", inflated)
+        with pytest.raises(InvariantError,
+                           match=r"^piece of A is not worth 3/5 \* scale$"):
+            max_equitable(halves_pair(), RELATIVE)
+        with pytest.raises(InvariantError,
+                           match=r"^piece of B is not worth 2 \* scale$"):
+            equitable_for_ordering(halves_pair(), ("B", "A"), ABSOLUTE, 2)
+
+    def test_piece_not_worth_the_value_raises_under_python_O(self):
+        code = (
+            "from cakecut import rules_monotone as rm\n"
+            "from cakecut.cake_measure import Density, InvariantError\n"
+            "from cakecut.cake_measure import problem\n"
+            "real = Density._value\n"
+            "def inflated(d, *ends):\n"
+            "    wn, wd = real(d, *ends)\n"
+            "    return wn + wd, wd\n"
+            "Density._value = inflated\n"
+            "p = problem(['A', 'B'], [1] * 4, [[1, 1, 1, 1], [1, 1, 3, 3]])\n"
+            "for mode in ('relative', 'absolute'):\n"
+            "    try:\n"
+            "        rm.max_equitable(p, mode)\n"
+            "    except InvariantError as e:\n"
+            "        print(e)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == ("piece of A is not worth 3/5 * scale\n"
+                              "piece of A is not worth 3 * scale\n")
 
     @pytest.mark.parametrize("mode", [RELATIVE, ABSOLUTE])
     def test_value_off_by_a_millionth_raises(self, mode):
