@@ -8,17 +8,20 @@ sequential marks, carried from mark to mark as int pairs through the
 measure kernel's one mark entry (Density._mark).  _chain is the one loop
 of minimal prefixes along an agent ordering (greedy_fit, the sweep's
 certifying pass); fitting_orderings walks it over shared ordering
-prefixes.  _mark_table extends it from orderings to agent sets: the subset
-DP of Aumann, Dombb and Hassidim ("Computing socially-efficient cake
-divisions", AAMAS 2013), with marks as the transition.  Its one left-set
-scan gives a pivot's largest piece under floors for the others (pivot_max)
-and decides Pareto optimality in n * 2^(n-1) marks instead of n * n!
-(ordering, pivot) pairs.
-An exact parametric sweep over a uniform slack parameter decides weak
-Pareto optimality (max_slack) and finds each ordering's equitable value:
-its steps are the same mark entry in its step mode, and its int core
-(_sweep) carries the position, theta, the densities and the breakpoints
-as int pairs; the public wrapper builds one Fraction per call.
+prefixes for max_equitable.  _mark_table extends it from orderings to
+agent sets: the subset DP of Aumann, Dombb and Hassidim ("Computing
+socially-efficient cake divisions", AAMAS 2013), with marks as the
+transition.  Its one left-set scan gives a pivot's largest piece under
+floors for the others (pivot_max) and decides Pareto optimality in
+n * 2^(n-1) marks instead of n * n! (ordering, pivot) pairs.  With strict
+maximal marks as the transition the same table decides weak Pareto
+optimality, and names the one ordering whose maximal slack (max_slack)
+gives the witness.
+An exact parametric sweep over a uniform slack parameter finds each
+ordering's maximal slack and equitable value: its steps are the same mark
+entry in its step mode, and its int core (_sweep) carries the position,
+theta, the densities and the breakpoints as int pairs; the public wrapper
+builds one Fraction per call.
 """
 
 from __future__ import annotations
@@ -271,10 +274,11 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     return None if cuts is None else tuple(Fraction(*y) for y in cuts)
 
 
-def fitting_orderings(p: Problem, target: Callable[[str], Rat]
+def fitting_orderings(p: Problem, target: Callable[[str], tuple[int, int]]
                       ) -> Iterator[tuple[str, ...]]:
     """The agent orderings in which greedy_fit succeeds with targets
-    target(a), in itertools.permutations order.
+    target(a), in itertools.permutations order; target(a) is an int pair
+    (tn, td), td > 0, and its value tn / td need not be reduced.
 
     A depth-first walk over ordering prefixes that carries each prefix's
     leftmost-mark cut chain, so orderings that share a prefix share its
@@ -285,7 +289,8 @@ def fitting_orderings(p: Problem, target: Callable[[str], Rat]
     right than the raised ones would (marks are monotone in their start and
     target), so pruning from them never drops an ordering that fits the
     raised targets; an ordering received after a raise may still fail
-    them, and the caller checks it.
+    them, and the caller checks it.  Its one library caller is
+    max_equitable, which raises its floor between orderings.
     """
     dens = dict(zip(p.agents, p.densities))
 
@@ -293,8 +298,7 @@ def fitting_orderings(p: Problem, target: Callable[[str], Rat]
         if not rest:
             yield prefix
         for i, a in enumerate(rest):
-            t = target(a)
-            y = dens[a]._mark(xn, xd, t.numerator, t.denominator)
+            y = dens[a]._mark(xn, xd, *target(a))
             if y is not None:
                 yield from walk(prefix + (a,), rest[:i] + rest[i + 1:], *y)
 
@@ -453,7 +457,8 @@ def max_slack(p: Problem, pi: Sequence[str],
     """Maximum uniform slack delta >= 0 such that a connected pi-partition
     gives every agent at least u_i + delta * V_i: the sweep of those
     targets from delta = 0.  None when even the base utilities u_i do not
-    fit in this ordering."""
+    fit in this ordering.  In the library it serves only the WPO witness:
+    check_wpo_connected sweeps the one ordering its table names."""
     return sup_uniform_feasible(p, pi, [base.absolute[a] for a in pi],
                                 [total(p.density(a)) for a in pi],
                                 Fraction(0))
@@ -478,65 +483,94 @@ def check_wpo_connected(p: Problem, x: Division,
                         u: Optional[UtilityVector] = None) -> EfficiencyResult:
     """False iff some connected partition is strictly better for every agent.
 
-    Complete over connected partitions: reports the lexicographically first
-    ordering that admits positive uniform slack, with a verified witness at
-    half its maximal slack.  Only the orderings that fit the base utilities
-    (slack delta = 0) can admit positive slack; fitting_orderings lists
-    them, pruning every ordering whose prefix already fails, and max_slack
-    sweeps each from delta = 0.  Like check_prop, it takes x's utilities
-    as u when the caller has them already.
+    Complete over connected partitions.  Some partition gives every agent
+    strictly more than u_i iff some ordering fits the targets u_i + delta *
+    V_i for some delta > 0, and then for every smaller delta (marks are
+    monotone in their targets).  As delta falls to 0, each leftmost mark at
+    u_i + delta * V_i falls to the maximal mark at u_i from the limit of
+    the previous one, so an ordering fits some delta > 0 iff its chain of
+    strict maximal marks at u completes: each agent in turn has value left
+    over u_i right of the previous mark, and marks its maximal mark.  One
+    _mark_table over agent sets with those steps (strict) decides it in n *
+    2^(n-1) marks instead of a walk over orderings and a sweep of each: x
+    is WPO iff the full agent set has no entry.  Otherwise the entry's
+    back-pointers name one ordering whose strict chain completes (at each
+    set, the leftmost end, ties to the lower agent index), which is
+    reported.  max_slack sweeps it, the witness is greedy_fit's partition
+    at half that slack, and the witness is certified to improve every agent
+    strictly; an ordering without positive slack, a half slack that does
+    not fit and a witness that does not improve every agent each raise
+    InvariantError, under python -O too.  Like check_prop, it takes x's
+    utilities as u when the caller has them already.
     """
     base = utilities(p, x, CONNECTED) if u is None else u
-    for pi in fitting_orderings(p, lambda a: base.absolute[a]):
-        delta = max_slack(p, pi, base)
-        if delta is None:
-            raise InvariantError("an ordering that fits the base utilities "
-                                 "must fit at slack 0")
-        if delta > 0:
-            targets = {
-                a: base.absolute[a] + delta / 2 * total(p.density(a))
-                for a in p.agents
-            }
-            cuts = greedy_fit(p, pi, targets)
-            if cuts is None:
-                raise InvariantError("half the maximal slack must fit")
-            witness = division_from_cuts(p, pi, cuts)
-            wu = utilities(p, witness, CONNECTED)
-            if not all(wu.absolute[a] > base.absolute[a] for a in p.agents):
-                raise InvariantError("WPO witness must strictly improve "
-                                     "every agent")
-            return EfficiencyResult(False, pi, witness, wu)
-    return EfficiencyResult(True)
+    pairs = [(base.absolute[a].numerator, base.absolute[a].denominator)
+             for a in p.agents]
+    table = _mark_table(p.densities, pairs, (0, 1), 1, full=True,
+                        strict=True)
+    if table[-1] is None:
+        return EfficiencyResult(True)
+    pi = tuple(p.agents[a] for a, _ in reversed(
+        _table_chain(table, len(table) - 1)))
+    delta = max_slack(p, pi, base)
+    if delta is None or delta <= 0:
+        raise InvariantError("the ordering the WPO table names must admit "
+                             "positive slack")
+    targets = {a: base.absolute[a] + delta / 2 * total(p.density(a))
+               for a in p.agents}
+    cuts = greedy_fit(p, pi, targets)
+    if cuts is None:
+        raise InvariantError("half the maximal slack must fit")
+    witness = division_from_cuts(p, pi, cuts)
+    wu = utilities(p, witness, CONNECTED)
+    if not all(wu.absolute[a] > base.absolute[a] for a in p.agents):
+        raise InvariantError("WPO witness must strictly improve every agent")
+    return EfficiencyResult(False, pi, witness, wu)
 
 
 def _mark_table(dens: Sequence[Density], targets: Sequence[tuple[int, int]],
-                start: tuple[int, int], sign: int) -> list[Optional[tuple]]:
-    """One mark chain over agent sets, the subset DP under check_po_connected.
+                start: tuple[int, int], sign: int, full: bool = False,
+                strict: bool = False) -> list[Optional[tuple]]:
+    """One mark chain over agent sets: the subset DP under pivot_max and
+    the Pareto checkers.
 
     Entry S, a bitmask over the agents' indices (every set but the full
-    one), is (xn, xd, a): xn/xd is the furthest point a chain of the agents
-    of S, in any order, can reach from start, each agent i taking a piece
-    worth targets[i], and a is the agent whose mark reaches it.  For sign 1
-    the chain is minimal prefixes (leftmost marks) and the point the
-    leftmost end; for sign -1 minimal suffixes (suffix marks, right to
-    left) and the rightmost start.  Entry 0 is start itself (with no
-    agent), and an entry is None when no order of S fits.  Marks are
+    one, unless full), is (xn, xd, a): xn/xd is the furthest point a chain
+    of the agents of S, in any order, can reach from start, each agent i
+    taking a piece worth targets[i], and a is the agent whose mark reaches
+    it.  For sign 1 the chain is minimal prefixes (leftmost marks) and the
+    point the leftmost end; for sign -1 minimal suffixes (suffix marks,
+    right to left) and the rightmost start.  Entry 0 is start itself (with
+    no agent), and an entry is None when no order of S fits.  Marks are
     monotone in their start, so entry S is the best, over a in S whose
     entry S - a exists, of a's mark from entry S - a: a failing mark drops
     that a, and a tie goes to the lowest index a.
+
+    With strict (sign 1 only), the chain is strict maximal marks, the
+    sweep's step (Density._mark's step mode): agent a's step from x exists
+    iff the value a has left right of x over targets[a] is > 0, and lands
+    on a's maximal mark.  Both are monotone in x, so the same DP gives the
+    leftmost end of such a chain over the orders of S.
     """
-    table: list = [None] * ((1 << len(dens)) - 1)
+    table: list = [None] * ((1 << len(dens)) - (not full))
     table[0] = (*start, None)
     last = sign < 0
+    rows = [(a, 1 << a, d, tn, td) for a, (d, (tn, td))
+            in enumerate(zip(dens, targets))]
     for s in range(1, len(table)):
         best = None
-        for a, (d, (tn, td)) in enumerate(zip(dens, targets)):
-            bit = 1 << a
-            if s & bit and (prev := table[s ^ bit]) is not None:
-                y = d._mark(prev[0], prev[1], tn, td, sign, last)
-                if y is not None and (best is None or sign * (
-                        y[0] * best[1] - best[0] * y[1]) < 0):
-                    best = (*y, a)
+        for a, bit, d, tn, td in rows:
+            if not s & bit or (prev := table[s ^ bit]) is None:
+                continue
+            if strict:
+                (ln, _), y, *_ = d._mark(prev[0], prev[1], tn, td, 1, True,
+                                         True)
+                if ln <= 0:
+                    continue
+            elif (y := d._mark(prev[0], prev[1], tn, td, sign, last)) is None:
+                continue
+            if best is None or sign * (y[0] * best[1] - best[0] * y[1]) < 0:
+                best = (*y, a)
         table[s] = best
     return table
 
@@ -552,15 +586,15 @@ def _table_chain(table: list, s: int) -> list[tuple[int, Rat]]:
     return chain
 
 
-def _left_sets(left: list, right: list, j: int
+def _left_sets(left: list, right: list, rest: int
                ) -> Iterator[tuple[int, int, tuple, tuple]]:
-    """(S, T, f(S), g(T)) for the left sets S of pivot j by increasing
-    bitmask, T = N - j - S, f and g the left and right _mark_table tables;
-    a set is skipped when either entry is missing or f(S) > g(T), as no
-    ordering with S left of j and T right of it then fits."""
-    rest = len(left) ^ (1 << j)  # len(left) is the full set's bitmask
+    """(S, T, f(S), g(T)) for the subsets S of the bitmask rest by
+    increasing bitmask, T = rest - S, f and g the left and right
+    _mark_table tables; a set is skipped when either entry is missing or
+    f(S) > g(T), as no ordering with S left of the pivot and T right of it
+    then fits."""
     for s in range(rest + 1):
-        if s >> j & 1:
+        if s & ~rest:
             continue
         lo, hi = left[s], right[rest ^ s]
         if lo is not None and hi is not None and (
@@ -574,6 +608,8 @@ def pivot_max(p: Problem, pivot: str,
     every other agent gets at least its floor, or None when none fits: the
     max, over the left sets S that _left_sets yields, of the pivot's value
     of [f(S), g(T)] (the question check_po_connected asks of each pivot).
+    The two _mark_table tables run over the other agents only, full set
+    included: 2 * m * 2^(m-1) marks at most for the m = n - 1 others.
     floors must name exactly the other agents (CakeError otherwise, and
     for an unknown pivot); the first mark taken for a negative floor
     refuses it."""
@@ -581,17 +617,18 @@ def pivot_max(p: Problem, pivot: str,
     if set(floors) != set(p.agents) - {pivot}:
         raise CakeError(f"floors must name exactly the agents other than "
                         f"the pivot {pivot!r}")
-    # the pivot's own target is never read: no scanned set contains it
-    targets = [(0, 1) if a == pivot else (floors[a].numerator,
-                                          floors[a].denominator)
-               for a in p.agents]
+    others = [i for i in range(p.n) if i != j]
+    dens = [p.densities[i] for i in others]
+    targets = [(f.numerator, f.denominator)
+               for f in (floors[p.agents[i]] for i in others)]
     c = p.cake_length
-    left = _mark_table(p.densities, targets, (0, 1), 1)
-    right = _mark_table(p.densities, targets,
-                        (c.numerator, c.denominator), -1)
+    left = _mark_table(dens, targets, (0, 1), 1, full=True)
+    right = _mark_table(dens, targets, (c.numerator, c.denominator), -1,
+                        full=True)
     d = p.densities[j]
     return max((Fraction(*d._value(lo[0], lo[1], hi[0], hi[1]))
-                for *_, lo, hi in _left_sets(left, right, j)), default=None)
+                for *_, lo, hi in _left_sets(left, right, len(left) - 1)),
+               default=None)
 
 
 def check_po_connected(p: Problem, x: Division,
@@ -629,7 +666,8 @@ def check_po_connected(p: Problem, x: Division,
     right = _mark_table(p.densities, targets,
                         (c.numerator, c.denominator), -1)
     for j, (d, (tn, td)) in enumerate(zip(p.densities, targets)):
-        for s, t, lo, hi in _left_sets(left, right, j):
+        # len(left) is the full set's bitmask
+        for s, t, lo, hi in _left_sets(left, right, len(left) ^ (1 << j)):
             z = d._mark(lo[0], lo[1], tn, td, 1, True)
             if z is None or z[0] * hi[1] >= hi[0] * z[1]:
                 continue

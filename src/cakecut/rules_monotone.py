@@ -82,15 +82,21 @@ def _scales(p: Problem, mode: str) -> dict[str, tuple[int, int]]:
 
 
 def _scaled(scale: dict[str, tuple[int, int]], v: tuple[int, int]
-            ) -> dict[str, Rat]:
-    """v * scale_a for each agent, one Fraction each."""
+            ) -> dict[str, tuple[int, int]]:
+    """v * scale_a for each agent, as an int pair over a positive
+    denominator, not reduced."""
     vn, vd = v
-    return {a: Fraction(vn * sn, vd * sd) for a, (sn, sd) in scale.items()}
+    return {a: (vn * sn, vd * sd) for a, (sn, sd) in scale.items()}
+
+
+def _fractions(pairs: dict[str, tuple[int, int]]) -> dict[str, Rat]:
+    """Each int pair as one Fraction."""
+    return {a: Fraction(*t) for a, t in pairs.items()}
 
 
 def _equal_utilities(p: Problem, mode: str, v: Rat) -> dict[str, Rat]:
     """Absolute utilities of an equitable division at the value v."""
-    return _scaled(_scales(p, mode), (v.numerator, v.denominator))
+    return _fractions(_scaled(_scales(p, mode), (v.numerator, v.denominator)))
 
 
 def _proportional_floor(p: Problem, scale: dict[str, tuple[int, int]]
@@ -279,17 +285,18 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     call, and the search runs on int pairs.  It keeps a floor, as a pair:
     the best value so far, or before that the proportional bound L (see
     _proportional_floor).  fitting_orderings walks the orderings with
-    targets floor * scale_i, rebuilt as Fractions when the floor rises and
-    read when each cut is taken, and prunes every ordering whose prefix
-    does not fit; the floor only rises, so pruning from cuts taken at an
-    earlier floor never drops an ordering that reaches the current one.
-    Each ordering it yields is swept from the floor by the sweep's int core
-    (_sweep), which returns None for one that no longer reaches it.  Each
-    winner's cuts are built at the best value by _knife_cuts, the builder
-    equitable_for_ordering runs, whose chain and slides certify that value
-    and whose per-piece check certifies every piece worth best * scale_a,
-    so a wrong sweep value raises InvariantError; best * scale is the
-    output's one utility vector.
+    targets floor * scale_i, held as int pairs (_scaled), updated when the
+    floor rises and read when each cut is taken, and prunes every ordering
+    whose prefix does not fit; the floor only rises, so pruning from cuts
+    taken at an earlier floor never drops an ordering that reaches the
+    current one.  Each ordering it yields is swept from the floor by the
+    sweep's int core (_sweep), which returns None for one that no longer
+    reaches it.  Each winner's cuts are built at the best value by
+    _knife_cuts, the builder equitable_for_ordering runs, whose chain and
+    slides certify that value and whose per-piece check certifies every
+    piece worth best * scale_a, so a wrong sweep value raises
+    InvariantError; best * scale, built as Fractions once, is the output's
+    one utility vector.
     """
     scale = _scales(p, mode)
     lines = {a: _sweep_line(d, 0, 1, *scale[a])
@@ -311,4 +318,5 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     divisions = [division_from_cuts(p, pi, _knife_cuts(
         p, pi, [lines[a] for a in pi], best)) for pi in winners]
     # the targets at the last floor are best * scale_a, the utilities
-    return RuleOutput(divisions, Fraction(*best), winners, utilities=targets)
+    return RuleOutput(divisions, Fraction(*best), winners,
+                      utilities=_fractions(targets))

@@ -562,7 +562,7 @@ class TestParetoCheckers:
         x = Division.of({"A": [iv(0, F(3, 2))], "B": [iv(F(3, 2), 3)]})
         assert check(p, x, utilities(p, x)) == check(p, x)
 
-    @pytest.mark.parametrize("p, x", [
+    WPO_CASES = [
         (problem(["A", "B", "C"], [1] * 6,
                  [[2, 0, 0, 0, 0, 4], [2, 3, 1, 1, 5, 0],
                   [2, 3, 1, 1, 5, 0]]),
@@ -571,12 +571,11 @@ class TestParetoCheckers:
          Division.of({"A": [iv(0, 1)], "B": [iv(1, 2)]})),
         (forced_pair(), Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})),
         (nash_cake(), Division.of({"A": [iv(0, 2)], "B": [iv(2, 6)]})),
-    ], ids=["dominated", "full-value", "forced", "nash"])
-    def test_wpo_sweeps_each_fitting_ordering_by_max_slack(self, monkeypatch,
-                                                           p, x):
-        base = utilities(p, x)
-        fitting = list(divisions.fitting_orderings(
-            p, lambda a: base.absolute[a]))
+    ]
+
+    @pytest.mark.parametrize("p, x", WPO_CASES,
+                             ids=["dominated", "full-value", "forced", "nash"])
+    def test_wpo_sweeps_only_the_named_ordering(self, monkeypatch, p, x):
         real = divisions.max_slack
         swept = []
 
@@ -586,15 +585,45 @@ class TestParetoCheckers:
 
         monkeypatch.setattr(divisions, "max_slack", counted)
         result = check_wpo_connected(p, x)
-        stop = len(fitting) if result.ok else fitting.index(result.ordering) + 1
-        assert swept == fitting[:stop]
+        assert swept == ([] if result.ok else [result.ordering])
+
+    def test_wpo_verdicts_of_the_table_cases(self):
+        assert [check_wpo_connected(p, x).ok for p, x in self.WPO_CASES] == [
+            False, True, True, True]
+
+    WPO_SLACK = "^the ordering the WPO table names must admit positive slack$"
 
     def test_wpo_refuses_a_fitting_ordering_without_slack(self, monkeypatch):
-        monkeypatch.setattr(divisions, "max_slack", lambda *args: None)
-        p = forced_pair()
-        x = Division.of({"A": [iv(0, 1)], "B": [iv(1, 4)]})
-        with pytest.raises(InvariantError, match="must fit at slack 0"):
-            check_wpo_connected(p, x)
+        # the table's ordering fits the base utilities; a sweep that finds
+        # no positive slack there, or no fit at all, is a bug
+        p, x = self.WPO_CASES[0]
+        for slack in (None, F(0)):
+            monkeypatch.setattr(divisions, "max_slack", lambda *args: slack)
+            with pytest.raises(InvariantError, match=self.WPO_SLACK):
+                check_wpo_connected(p, x)
+
+    def test_wpo_slack_check_runs_under_python_O(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from cakecut import divisions\n"
+            "from cakecut.cake_measure import Interval, InvariantError, "
+            "problem\n"
+            "from cakecut.divisions import Division, check_wpo_connected\n"
+            "divisions.max_slack = lambda *args: Fraction(0)\n"
+            "p = problem(['A', 'B', 'C'], [1] * 6, [[2, 0, 0, 0, 0, 4],\n"
+            "            [2, 3, 1, 1, 5, 0], [2, 3, 1, 1, 5, 0]])\n"
+            "x = Division.of({'A': [Interval(0, 1)], 'B': [Interval(1, 4)],\n"
+            "                 'C': [Interval(4, 6)]})\n"
+            "try:\n"
+            "    check_wpo_connected(p, x)\n"
+            "except InvariantError as e:\n"
+            "    print(e)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == ("the ordering the WPO table names must admit "
+                              "positive slack\n")
 
     PO_CERTIFICATE = ("^PO witness must give the pivot its constrained "
                       "maximum and every agent its base utility$")

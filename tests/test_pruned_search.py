@@ -17,6 +17,7 @@ from math import factorial
 import pytest
 
 from cakecut.cake_measure import (
+    Density,
     Interval,
     leftmost_mark,
     problem,
@@ -39,6 +40,7 @@ from cakecut.divisions import (
 )
 from cakecut import rules_monotone as rm
 from cakecut.monotonicity_harness import GRID_COUNTEREXAMPLES, get_rule
+from cakecut.rules_classic import banach_knaster, dubins_spanier, even_paz
 from cakecut.rules_monotone import (
     equitable_for_ordering,
     equitable_value_oracle,
@@ -94,18 +96,37 @@ def enumerated_max_equitable(p, mode):
     return best, [pi for pi, v in values.items() if v == best]
 
 
+def half_slack_partition(p, pi, base):
+    """The greedy partition of pi at half its max_slack over base."""
+    delta = max_slack(p, pi, base)
+    targets = {a: base.absolute[a] + delta / 2 * total(p.density(a))
+               for a in p.agents}
+    return division_from_cuts(p, pi, greedy_fit(p, pi, targets))
+
+
 def enumerated_wpo(p, x):
-    """(verdict, ordering, witness): the first permutation with positive
-    max_slack and the greedy partition at half that slack."""
+    """True iff no ordering has positive max_slack (None: the base
+    utilities do not fit it)."""
     base = utilities(p, x)
-    for pi in permutations(p.agents):
-        delta = max_slack(p, pi, base)  # None: the base does not fit
-        if delta is not None and delta > 0:
-            targets = {a: base.absolute[a] + delta / 2 * total(p.density(a))
-                       for a in p.agents}
-            return False, pi, division_from_cuts(p, pi,
-                                                 greedy_fit(p, pi, targets))
-    return True, None, None
+    return not any(d is not None and d > 0
+                   for d in (max_slack(p, pi, base)
+                             for pi in permutations(p.agents)))
+
+
+def assert_wpo_matches_enumerator(p, x):
+    """The table's verdict equals the enumerator's.  Its ordering may be
+    another than the enumerator's first, so on FAIL the reported ordering
+    must have positive max_slack and the witness must be that ordering's
+    half-slack greedy partition, valued as utilities values it."""
+    result = check_wpo_connected(p, x)
+    assert result.ok == enumerated_wpo(p, x)
+    if not result.ok:
+        base = utilities(p, x)
+        assert max_slack(p, result.ordering, base) > 0
+        assert result.witness == half_slack_partition(p, result.ordering,
+                                                      base)
+        assert result.witness_utilities == utilities(p, result.witness)
+    return result.ok
 
 
 def proportional_bound(p, mode):
@@ -148,8 +169,9 @@ def test_max_equitable_walk_reads_the_current_floor(monkeypatch, mode):
 
     def traced_walk(p, target):
         def read(a):
-            reads.append((target(a), floor[0] * scale[a], floor[0]))
-            return reads[-1][0]
+            t = target(a)  # an int pair
+            reads.append((F(*t), floor[0] * scale[a], floor[0]))
+            return t
         return walk(p, read)
 
     def traced_sweep(*args):
@@ -172,19 +194,17 @@ def test_max_equitable_walk_reads_the_current_floor(monkeypatch, mode):
 
 
 def _wpo_inputs(p):
-    yield "relative-equitable", max_equitable(p, RELATIVE).divisions[0]
-    yield "absolute-equitable", max_equitable(p, ABSOLUTE).divisions[0]
-    yield "exact-proportional", exact_proportional(p)
+    yield max_equitable(p, RELATIVE).divisions[0]
+    yield max_equitable(p, ABSOLUTE).divisions[0]
+    yield exact_proportional(p)
+    yield from (rule(p) for rule in (dubins_spanier, even_paz, banach_knaster))
 
 
 @pytest.mark.parametrize("index", CASES, ids=_ids())
 def test_check_wpo_connected_matches_enumerator(index):
     p = corpus()[index]
-    for name, x in _wpo_inputs(p):
-        ok, ordering, witness = enumerated_wpo(p, x)
-        result = check_wpo_connected(p, x)
-        assert (result.ok, result.ordering, result.witness) == \
-            (ok, ordering, witness), name
+    for x in _wpo_inputs(p):
+        assert_wpo_matches_enumerator(p, x)
 
 
 def test_corpus_reaches_both_wpo_verdicts():
@@ -216,7 +236,8 @@ def test_fitting_orderings_match_greedy_fit_filter():
     for p, targets in walker_corpus():
         expected = [pi for pi in permutations(p.agents)
                     if greedy_fit(p, pi, targets)]
-        assert list(fitting_orderings(p, targets.__getitem__)) == expected
+        pairs = {a: (t.numerator, t.denominator) for a, t in targets.items()}
+        assert list(fitting_orderings(p, pairs.__getitem__)) == expected
         kept += len(expected)
         dropped += factorial(p.n) - len(expected)
     assert kept and dropped
@@ -386,6 +407,36 @@ def test_pivot_max_matches_constrained_partition_on_tie_heavy_cakes(index):
                                         SEED + 4 + index):
         assert pivot_max(p, pivot, floors) == enumerated_pivot_max(
             p, pivot, floors), (pivot, floors)
+
+
+def test_pivot_max_tables_run_over_the_other_agents(monkeypatch):
+    """Both tables hold the sets of the n - 1 other agents only: with every
+    entry present that is 2 * (n - 1) * 2^(n - 2) marks per call, and
+    never an entry that holds the pivot."""
+    rng = random.Random(1010)
+    n, k = 10, 16
+    lengths = [rng.choice([F(1), F(1, 2), F(2), F(3, 2)]) for _ in range(k)]
+    rows = []
+    for _ in range(n):
+        row = [F(rng.randint(1, 9)) for _ in range(k)]
+        start = rng.randrange(k - 1)
+        row[start:start + 2] = [F(0)] * 2
+        rows.append(row)
+    p = problem([f"a{i}" for i in range(n)], lengths, rows)
+    real = Density._mark
+    marks = []
+
+    def counted(d, *args):
+        marks.append(d)
+        return real(d, *args)
+
+    monkeypatch.setattr(Density, "_mark", counted)
+    for pivot in p.agents:
+        floors = {a: total(p.density(a)) / 20 for a in p.agents if a != pivot}
+        marks.clear()
+        assert pivot_max(p, pivot, floors) is not None
+        assert len(marks) == 2 * (n - 1) * 2 ** (n - 2)
+        assert all(d is not p.density(pivot) for d in marks)
 
 
 def test_corpus_floors_reach_both_pivot_outcomes():
