@@ -69,11 +69,13 @@ class SliceGrid:
 
     Point lookups run on integers: ``scaled``, built in ints on first use,
     holds S, the lcm of the length denominators, and B, the running sums of
-    the lengths times S.  A point x = num/den is placed by q, r =
-    divmod(num * S, den), so q is floor(x * S): for an integer key B[k],
-    B[k] <= x * S holds exactly when B[k] <= q, so k = bisect_right(B, q) -
-    1 gives B[k] <= x * S < B[k + 1], and x * S equals B[k] exactly when r
-    == 0 and B[k] == q.  ``breakpoints`` is the view B / S.
+    the lengths times S.  Density's prefix evaluator places a point x =
+    num/den by q, r = divmod(num * S, den), so q is floor(x * S): for an
+    integer key B[k], B[k] <= x * S holds exactly when B[k] <= q, so k =
+    bisect_right(B, q) - 1 gives B[k] <= x * S < B[k + 1], and x * S equals
+    B[k] exactly when r == 0 and B[k] == q.  ``breakpoints`` is the view B
+    / S, and ``breakpoint_pairs`` its int-pair view, which the sweep reads
+    (and the equitable builder, for c).
     """
 
     lengths: tuple[Rat, ...]
@@ -111,30 +113,6 @@ class SliceGrid:
     def cake_length(self) -> Rat:
         return self.breakpoints[-1]
 
-    def _right_of(self, num: int, den: int) -> int:
-        """Int placement: k with B[k] <= x * S < B[k + 1] for the point x =
-        num/den (den > 0), the slice right of x for 0 <= x < c; -1 left
-        of the cake, len(lengths) at or beyond c."""
-        s, b = self.scaled
-        return bisect_right(b, num * s // den) - 1
-
-    def slice_right_of(self, x: Rat) -> int:
-        """Index of the slice immediately to the right of x (requires 0 <=
-        x < c): a public Fraction wrapper over _right_of, with no library
-        caller."""
-        k = self._right_of(x.numerator, x.denominator)
-        if not 0 <= k < len(self.lengths):
-            raise CakeError(f"point {x} has no slice to its right")
-        return k
-
-    def next_breakpoint(self, x: Rat) -> Rat:
-        """Smallest breakpoint strictly greater than x (requires x < c): a
-        public Fraction wrapper over _right_of, with no library caller."""
-        k = self._right_of(x.numerator, x.denominator)
-        if k == len(self.lengths):  # x >= c
-            raise CakeError(f"no breakpoint beyond {x}")
-        return self.breakpoints[k + 1]
-
 
 @dataclass(frozen=True)
 class Density:
@@ -145,7 +123,7 @@ class Density:
     value of [0, b_k] and values[k] = R[k] * S / K for the grid's scale S,
     and K is the least denominator that makes them all ints.  ``_prefix``,
     the one prefix evaluator, places a point on the grid (as SliceGrid
-    does) and evaluates K * den * value[0, num/den] as an int.  ``_mark``
+    describes) and evaluates K * den * value[0, num/den] as an int.  ``_mark``
     is the one mark entry, int pairs in and a normalised int pair out,
     which the library's mark chains and the classic protocols carry from
     mark to mark: one prefix evaluation, then one goal locate written in
@@ -187,9 +165,9 @@ class Density:
     @cached_property
     def value_pairs(self) -> tuple[int, ...]:
         """The int-pair view of values, flat: values[k] is
-        value_pairs[2k] / value_pairs[2k + 1], in lowest terms.  The sweep
-        and the moving knife's slides read densities here, at the slice
-        indices _mark's step mode and SliceGrid._right_of return."""
+        value_pairs[2k] / value_pairs[2k + 1], in lowest terms.  Only the
+        sweep reads densities here, at the slice indices _mark's step mode
+        returns."""
         return tuple(x for v in self.values
                      for x in (v.numerator, v.denominator))
 
@@ -202,7 +180,7 @@ class Density:
         num/den (den > 0), where k is the slice right of x (len(values)
         at x = c); None when x lies outside the cake."""
         s, b = self.grid.scaled
-        q, r = divmod(num * s, den)  # placed as SliceGrid places points
+        q, r = divmod(num * s, den)  # q = floor(x * S): see SliceGrid
         c = b[-1]
         if q < 0 or q > c or (q == c and r):  # x < 0 or x > c
             return None
@@ -221,9 +199,12 @@ class Density:
         sign * target, as a gcd-normalised pair over a positive
         denominator, or None when no point of the cake does.  sign 1 gives
         leftmost_mark (first) and maximal_mark (last) from the start x,
-        sign -1 with last suffix_mark back from the end x.  A zero target
-        gives x itself for the leftmost and suffix marks, whose located
-        point would lie on the far side of x across a zero stretch.
+        sign -1 with last suffix_mark back from the end x, and sign -1
+        first the leftmost start of a suffix worth the target up to x,
+        which _knife_cuts reads (a zero target across a zero stretch moves
+        it to the stretch's left end).  A zero target gives x itself for
+        the leftmost and suffix marks, whose located point would lie on the
+        far side of x across a zero stretch.
 
         With step (sign 1, last: the maximal mark), the parametric sweep's
         step: (left, y, k, j), where left = value[x, c] - target as an int
@@ -289,12 +270,6 @@ class Density:
         if at is None:
             raise CakeError(f"point {x} outside cake")
         return Fraction(at[1], self.scaled[0] * xd)
-
-    def density_right_of(self, x: Rat) -> Rat:
-        """Constant density on the slice immediately right of x: a public
-        Fraction wrapper over SliceGrid._right_of (through slice_right_of),
-        with no library caller."""
-        return self.values[self.grid.slice_right_of(x)]
 
 
 def total(d: Density) -> Rat:

@@ -94,10 +94,11 @@ def split_equal(d: Density, piece: Sequence[Interval], k: int) -> list[Piece]:
 
 def _pick_rightmost_best(d: Density, parts: list[Piece],
                          candidates: Sequence[int]) -> int:
-    """Index of the additively-best part, rightmost among ties."""
+    """Index of the additively-best part, rightmost among ties.  The parts
+    are disjoint and an additive value is a sum, so none is merged."""
     pick, best = None, None
     for i in candidates:
-        v = value_components_pair(d, merge_components(parts[i]), ADDITIVE)
+        v = value_components_pair(d, parts[i], ADDITIVE)
         if best is None or _above(v, best) or (
                 not _above(best, v) and i > pick):
             pick, best = i, v

@@ -1,15 +1,14 @@
 """Monotone division rules: exact-proportional, relative- and
 absolute-equitable (the parametric sweep finds each ordering's value; the
-moving knife's final slides build the division there and certify that
-value, all on int pairs from the sweep to the certified cuts), and the
-rightmost-mark rule for two agents.
+moving knife's end state there, the least exact partition in the ordering,
+is built in closed form and certifies that value, all on int pairs from the
+sweep to the certified cuts), and the rightmost-mark rule for two agents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .cake_measure import (
@@ -59,8 +58,8 @@ class EquitableResult:
 class RuleOutput:
     """A rule's output set; the equitable rules add the common value, the
     absolute utility vector every division of the set gives (value *
-    scale_a, certified by the moving knife's builder, _knife_cuts) and,
-    maximised over orderings, the argmax ordering of each division.
+    scale_a, certified by the least-exact-partition builder, _knife_cuts)
+    and, maximised over orderings, the argmax ordering of each division.
     utilities is None when the rule does not know it; utilities(p, x,
     mode).absolute values each division then."""
 
@@ -167,12 +166,12 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
     done, the knives form the chain of maximal marks at that value, and a
     maximal mark whose target rises to g tends to the first point worth g,
     so the knife run from t = 0 arrives at t = v with the knives on the
-    greedy_fit chain at v * scale_i.  _knife_cuts, the builder
-    max_equitable shares, starts there, runs only the phase-2 slides at v,
-    on int pairs, and certifies v: the chain fails when v is above the
-    ordering's value, and below it the slides end, with no knife blocked,
-    before the last knife reaches the end of the cake; both, a piece not
-    worth v * scale, and a negative v raise InvariantError.
+    greedy_fit chain at v * scale_i, and the slides at v move them right
+    to the least exact partition in the ordering.  _knife_cuts, the
+    builder max_equitable shares, computes that partition in closed form
+    on int pairs and certifies v: the chain fails when v is above the
+    ordering's value, and below it no exact partition exists; both, a
+    piece not worth v * scale, and a negative v raise InvariantError.
     """
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
@@ -194,19 +193,33 @@ def _knife_cuts(p: Problem, pi: Sequence[str], lines: Sequence[tuple],
     ordering's sweep lines (_sweep_line, alpha 0 and beta the scale), whose
     target at v is v * scale.
 
-    All in int pairs: the greedy chain at v * scale (_chain; None means v
-    is above the ordering's value), then the slides.  At each slide every
-    knife is placed on the grid (SliceGrid._right_of); the rightmost knife
-    r on a zero-density slice of its own agent slides at unit speed, and
-    each knife k right of it at speed_{k-1} * d_k(x_{k-1}) / d_k(x_k), so
-    that its piece keeps its value; the step is the nearest arrival of a
-    moving knife at its next breakpoint.  Densities and breakpoints are
-    read from the int-pair views (Density.value_pairs and
-    SliceGrid.breakpoint_pairs).  No blocked knife while the last is
-    short of the end of the cake means v is below the ordering's value.
-    Every piece is then certified worth v * scale by cross-multiplying
-    Density._value with its target.  Each failure raises InvariantError,
-    under python -O too.
+    The knife's end state is the least exact partition in pi: the
+    componentwise least cut vector that ends at c and gives every piece
+    exactly v * scale.  The exact partitions at v are closed under
+    componentwise min, so when one exists there is a least one.  The knife
+    starts on the greedy chain at v * scale (_chain; None means v is above
+    the ordering's value), which lies below every exact partition; it only
+    moves cuts rightward, and it stops at the first exact partition.
+
+    The cut positions from which the agents after k can fill the rest of
+    the cake exactly form an interval.  Its least point, lower[k], is the
+    leftmost start of agent k + 1's suffix worth its target up to
+    lower[k + 1] (Density._mark, sign -1, first point), from
+    lower[n - 1] = c, or 0 when that agent cannot fill its target to the
+    left.  Each cut of the least exact partition is the leftmost mark from
+    the previous cut, raised to lower[k].  Up to the first cut that lower
+    raises, these are the chain's cuts; from there they are lower's, since
+    each later agent fills exactly from one lower point to the next.  So
+    each cut is the larger of the chain's and lower[k].  The piece of the
+    agent at the first raise k >= 1 is exact too: it starts at the chain's
+    cut k - 1, at or past lower[k - 1], so up to lower[k] it is worth at
+    most its target, and at least it.  At k = 0 it is exact iff the chain
+    of suffix starts, run on through the first agent, ends at 0 (a
+    fallback to 0 anywhere in it puts the first raise at k >= 1);
+    otherwise no exact partition exists, and v is below the ordering's
+    value.  All in int pairs.  Every piece is then certified worth v *
+    scale by cross-multiplying Density._value with its target.  Each
+    failure raises InvariantError, under python -O too.
     """
     vn, vd = v
     targets = [(ta * vd + tb * vn, tden * vd) for _, ta, tb, tden, *_ in lines]
@@ -215,45 +228,19 @@ def _knife_cuts(p: Problem, pi: Sequence[str], lines: Sequence[tuple],
     if x is None:
         raise InvariantError(f"value {Fraction(vn, vd)} is above the "
                              f"ordering's value")
-    grid = p.grid
-    z = grid.breakpoint_pairs
+    z = p.grid.breakpoint_pairs
     c = z[-2], z[-1]
-    m = len(grid.lengths)
-    while x[-1] != c:
-        at = [2 * grid._right_of(xn, xd) for xn, xd in x]  # flat indices
-        r = -1
-        for i, (d, k) in enumerate(zip(dens, at)):
-            if k < 2 * m and not d.value_pairs[k]:
-                r = i
-        if r < 0:
+    if x[-1] != c:
+        # the suffix starts from c, last agent first: lower[n - 1], ...,
+        # lower[0], then the first agent's start
+        starts = [c]
+        for d, (tn, td) in zip(dens[::-1], targets[::-1]):
+            starts.append(d._mark(*starts[-1], tn, td, -1) or (0, 1))
+        if starts[-1] != (0, 1):
             raise InvariantError(f"value {Fraction(vn, vd)} is below the "
                                  f"ordering's value")
-        # knife r moves at speed 1 to its next breakpoint: the step so far
-        # is (z - x_r) / 1
-        xn, xd = x[r]
-        k = at[r]
-        en, ed = z[k + 2] * xd - xn * z[k + 3], z[k + 3] * xd
-        speeds = [(1, 1)]
-        sn, sd = 1, 1
-        for i in range(r + 1, len(x)):
-            rates = dens[i].value_pairs
-            h, k = at[i - 1], at[i]
-            sn, sd = rates[h] * rates[k + 1] * sn, rates[h + 1] * rates[k] * sd
-            g = gcd(sn, sd)
-            sn, sd = sn // g, sd // g
-            speeds.append((sn, sd))
-            if sn:  # (z - x_i) / speed, kept if nearer
-                xn, xd = x[i]
-                zn, zd = z[k + 2], z[k + 3]
-                dn, dd = (zn * xd - xn * zd) * sd, zd * xd * sn
-                if dn * ed < en * dd:
-                    en, ed = dn, dd
-        for i, (sn, sd) in enumerate(speeds, r):
-            if sn:  # x_i + speed * step
-                xn, xd = x[i]
-                yn, yd = xn * sd * ed + sn * en * xd, xd * sd * ed
-                g = gcd(yn, yd)
-                x[i] = yn // g, yd // g
+        x = [g if g[0] * lo[1] >= lo[0] * g[1] else lo
+             for g, lo in zip(x, starts[-2::-1])]
     lo = 0, 1
     for a, d, (tn, td), hi in zip(pi, dens, targets, x):
         wn, wd = d._value(*lo, *hi)
@@ -268,7 +255,7 @@ def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
     """The equitable value for an ordering: sup{t : sequential minimal
     prefixes with targets t * scale_i fit in the cake}, by the sweep.
     equitable_for_ordering builds its division at this value, and its
-    slides certify it."""
+    least exact partition certifies it."""
     scale = _scales(p, mode)
     zeros = [Fraction(0)] * p.n
     return sup_uniform_feasible(p, pi, zeros,
@@ -293,10 +280,10 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     sweep's int core (_sweep), which returns None for one that no longer
     reaches it.  Each winner's cuts are built at the best value by
     _knife_cuts, the builder equitable_for_ordering runs, whose chain and
-    slides certify that value and whose per-piece check certifies every
-    piece worth best * scale_a, so a wrong sweep value raises
-    InvariantError; best * scale, built as Fractions once, is the output's
-    one utility vector.
+    least exact partition certify that value and whose per-piece check
+    certifies every piece worth best * scale_a, so a wrong sweep value
+    raises InvariantError; best * scale, built as Fractions once, is the
+    output's one utility vector.
     """
     scale = _scales(p, mode)
     lines = {a: _sweep_line(d, 0, 1, *scale[a])

@@ -27,6 +27,8 @@ from cakecut.cake_measure import (
     value_piece,
 )
 
+from test_measure_differential import ref_density_right_of
+
 
 def grid(*lengths):
     return SliceGrid(tuple(F(x) for x in lengths))
@@ -303,7 +305,7 @@ def test_mark_inverts_value(d, q_start, q_target):
     assert z >= y
     assert value(d, Interval(start, z)) == target
     if z < d.grid.cake_length:
-        assert d.density_right_of(z) > 0
+        assert ref_density_right_of(d, z) > 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,6 +23,7 @@ from cakecut.cake_measure import (
 from cakecut.divisions import ABSOLUTE, RELATIVE, greedy_fit
 from cakecut.rules_monotone import EquitableResult, equitable_for_ordering
 
+from test_measure_differential import ref_density_right_of, ref_next_breakpoint
 from test_pruned_search import corpus, proportional_bound
 
 
@@ -39,20 +40,20 @@ def simulate_from_zero(p, pi, mode):
     s = [scale[a] for a in pi]
     n = len(pi)
     c = p.cake_length
-    grid = p.grid
     x = [F(0)] * n
     t = F(0)
     while x[-1] != c:
         blocked = [i for i in range(n)
-                   if x[i] < c and dens[i].density_right_of(x[i]) == 0]
+                   if x[i] < c and ref_density_right_of(dens[i], x[i]) == 0]
         if blocked:
             r = blocked[-1]
             v = [F(0)] * n
             v[r] = F(1)
             for k in range(r + 1, n):
-                push = dens[k].density_right_of(x[k - 1]) * v[k - 1]
-                v[k] = push / dens[k].density_right_of(x[k]) if push else F(0)
-            step = min((grid.next_breakpoint(x[i]) - x[i]) / v[i]
+                push = ref_density_right_of(dens[k], x[k - 1]) * v[k - 1]
+                v[k] = (push / ref_density_right_of(dens[k], x[k]) if push
+                        else F(0))
+            step = min((ref_next_breakpoint(dens[i], x[i]) - x[i]) / v[i]
                        for i in range(r, n) if v[i] > 0)
             for i in range(r, n):
                 x[i] += v[i] * step
@@ -61,10 +62,11 @@ def simulate_from_zero(p, pi, mode):
             prev = F(0)
             prev_pos = F(0)
             for k in range(n):
-                back = dens[k].density_right_of(prev_pos) if k else F(0)
-                v[k] = (s[k] + back * prev) / dens[k].density_right_of(x[k])
+                back = ref_density_right_of(dens[k], prev_pos) if k else F(0)
+                v[k] = ((s[k] + back * prev)
+                        / ref_density_right_of(dens[k], x[k]))
                 prev, prev_pos = v[k], x[k]
-            step = min((grid.next_breakpoint(x[i]) - x[i]) / v[i]
+            step = min((ref_next_breakpoint(dens[i], x[i]) - x[i]) / v[i]
                        for i in range(n))
             t += step
             for i in range(n):

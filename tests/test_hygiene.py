@@ -6,7 +6,8 @@ integer-scaled measure data outside cake_measure.py (its kernel is the
 one place that reads it), and no private helper, function, class or
 method of a library class, that only the tests use (a test-only helper
 belongs in the tests, and a replaced kernel entry is not left behind),
-and no package export that no test names."""
+no public method of a library class that no library code calls unless
+the benchmark traces it, and no package export that no test names."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from cakecut.monotonicity_harness import RULES
+
+from test_traced_names import traced_targets
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "cakecut").glob("*.py"))
 
@@ -137,6 +140,12 @@ def unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
                             for method in stmt.body
                             if isinstance(method, functions)
                             and _private(method.name)]
+    return _named_only_inside(defined, trees)
+
+
+def _named_only_inside(defined, trees) -> list[str]:
+    """The labels of the (label, definition) pairs whose name nothing
+    outside the definition names in any of the trees."""
     named = Counter(name for tree in trees.values() for name in _names(tree))
     return sorted(label for label, d in defined
                   if named[d.name] == Counter(_names(d))[d.name])
@@ -173,6 +182,44 @@ def test_private_helper_finder_sees_methods():
     assert unreferenced_private(trees) == ["a.py:Public._dead",
                                            "a.py:Public._recursive",
                                            "a.py:_Private._dead"]
+
+
+def uncalled_public_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Public methods (no leading underscore) of module-level classes
+    that nothing outside their own definition names, as a name, an
+    attribute or an import, in any of the trees."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = [(f"{module}:{stmt.name}.{method.name}", method)
+               for module, tree in trees.items() for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef)
+               for method in stmt.body
+               if isinstance(method, functions)
+               and not method.name.startswith("_")]
+    return _named_only_inside(defined, trees)
+
+
+def test_every_public_method_has_a_library_caller_or_is_traced(monkeypatch):
+    """A public method that no library code calls is either measured by
+    the benchmark or left behind by a replaced algorithm."""
+    uncalled = uncalled_public_methods({p.name: _tree(p) for p in SOURCES})
+    traced = {f"{module.__name__.rpartition('.')[2]}.py:{attr}"
+              for _, module, attr, _ in traced_targets(monkeypatch)}
+    assert sorted(set(uncalled) - traced) == []
+
+
+def test_public_method_finder_sees_callers_and_recursion():
+    trees = {
+        "a.py": ast.parse("class Public:\n"
+                          "    def used(self): return self.inner()\n"
+                          "    def inner(self): pass\n"
+                          "    def dead(self): pass\n"
+                          "    def recursive(self): return self.recursive()\n"
+                          "    def _private(self): pass\n"
+                          "    def __init__(self): pass\n"),
+        "b.py": ast.parse("Public().used()\n"),
+    }
+    assert uncalled_public_methods(trees) == ["a.py:Public.dead",
+                                              "a.py:Public.recursive"]
 
 
 def exported_names(tree) -> list[str]:

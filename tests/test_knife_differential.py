@@ -1,12 +1,14 @@
-"""Differential test of the moving knife's int-pair builder.
+"""Differential test of the moving knife's end state.
 
 rules_monotone._knife_cuts, which equitable_for_ordering runs and
-max_equitable runs for each argmax ordering, is compared with the Fraction
-builder it replaced, kept below as the oracle: greedy_fit at v * scale,
-then the phase-2 slides read through density_right_of and
-next_breakpoint, then every piece valued and compared with v * scale.
-Outcomes are compared exactly, by repr (so the cuts must be Fractions), or
-by exception type and message, on:
+max_equitable runs for each argmax ordering, builds the least exact
+partition in the ordering on int pairs.  It is compared with a Fraction
+simulation of the knife, kept below as the oracle: greedy_fit at v *
+scale, then the phase-2 slides, with densities and breakpoints read
+through the Fraction references of tests/test_measure_differential.py,
+then every piece valued and compared with v * scale.  Outcomes are
+compared exactly, by repr (so the cuts must be Fractions), or by
+exception type and message, on:
 
 - the floor-start corpus (tests/test_floor_start.py), which reaches no
   slide at v, a slide of the last knife and a slide of an interior knife:
@@ -49,13 +51,15 @@ from cakecut.rules_monotone import (
 )
 
 from test_floor_start import problems, scales
+from test_measure_differential import ref_density_right_of, ref_next_breakpoint
 from test_pruned_search import proportional_bound
 from test_sweep_differential import TIE_HEAVY_NS, tie_heavy_cake
 
 
 def oracle_equitable_for_ordering(p, pi, mode, v=None):
-    """The Fraction builder the int-pair one replaced, verbatim but for
-    the scales (read from test_floor_start)."""
+    """The Fraction knife simulation the library once ran, verbatim but
+    for the scales (read from test_floor_start) and the density and
+    breakpoint lookups (the references of test_measure_differential)."""
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
         raise CakeError("ordering must be a permutation of the agents")
@@ -70,22 +74,21 @@ def oracle_equitable_for_ordering(p, pi, mode, v=None):
     dens = [p.density(a) for a in pi]
     n = len(pi)
     c = p.cake_length
-    grid = p.grid
     while x[-1] != c:
         # the rightmost blocked knife r slides at unit speed; every knife
         # right of it keeps its piece worth what it was
         blocked = [i for i in range(n)
-                   if x[i] < c and dens[i].density_right_of(x[i]) == 0]
+                   if x[i] < c and ref_density_right_of(dens[i], x[i]) == 0]
         if not blocked:
             raise InvariantError(f"value {v} is below the ordering's value")
         r = blocked[-1]
         speed = [F(0)] * n
         speed[r] = F(1)
         for k in range(r + 1, n):
-            speed[k] = (dens[k].density_right_of(x[k - 1]) * speed[k - 1]
-                        / dens[k].density_right_of(x[k]))
-        step = min((grid.next_breakpoint(xi) - xi) / si
-                   for xi, si in zip(x, speed) if si)
+            speed[k] = (ref_density_right_of(dens[k], x[k - 1]) * speed[k - 1]
+                        / ref_density_right_of(dens[k], x[k]))
+        step = min((ref_next_breakpoint(d, xi) - xi) / si
+                   for d, xi, si in zip(dens, x, speed) if si)
         x = [xi + si * step for xi, si in zip(x, speed)]
     lo = F(0)
     for a, d, hi in zip(pi, dens, x):

@@ -149,14 +149,25 @@ def ref_suffix_mark(d, end, target):
     return min(x, end)
 
 
+def ref_suffix_start(d, end, target):
+    """Minimum x <= end with value[x, end] == target, or None: the first
+    point at which the prefix value reaches value[0, end] - target."""
+    bps, pre = ref_sums(d)
+    if target < 0:
+        raise CakeError("target must be nonnegative")
+    if end < 0 or end > bps[-1]:
+        raise CakeError(f"end {end} outside cake")
+    goal = ref_prefix_at(d, end) - target
+    if goal < 0:
+        return None
+    k = bisect.bisect_left(pre, goal)
+    if pre[k] == goal:
+        return bps[k]
+    return bps[k - 1] + (goal - pre[k - 1]) / d.values[k - 1]
+
+
 POINT_FUNCTIONS = {
     "prefix_at": (lambda d, x: d.prefix_at(x), ref_prefix_at),
-    "slice_right_of": (lambda d, x: d.grid.slice_right_of(x),
-                       ref_slice_right_of),
-    "next_breakpoint": (lambda d, x: d.grid.next_breakpoint(x),
-                        ref_next_breakpoint),
-    "density_right_of": (lambda d, x: d.density_right_of(x),
-                         ref_density_right_of),
 }
 MARK_FUNCTIONS = {
     "leftmost_mark": (leftmost_mark, ref_leftmost_mark),
@@ -284,7 +295,9 @@ def test_marks_match_reference(name):
 # the value entry
 
 MARK_KINDS = {"leftmost_mark": (1, False), "maximal_mark": (1, True),
-              "suffix_mark": (-1, True)}
+              "suffix_mark": (-1, True), "suffix_start": (-1, False)}
+MARK_REFS = {**{name: ref for name, (_, ref) in MARK_FUNCTIONS.items()},
+             "suffix_start": ref_suffix_start}
 
 
 def mark_entry(sign, last):
@@ -306,7 +319,7 @@ def mark_entry(sign, last):
 
 @pytest.mark.parametrize("name", list(MARK_KINDS))
 def test_mark_entry_matches_reference(name):
-    entry, ref = mark_entry(*MARK_KINDS[name]), MARK_FUNCTIONS[name][1]
+    entry, ref = mark_entry(*MARK_KINDS[name]), MARK_REFS[name]
     mismatches = []
     for d, _, pairs in corpus():
         for x, t in pairs:
@@ -315,6 +328,27 @@ def test_mark_entry_matches_reference(name):
                 mismatches.append((d, x, t, got, want))
     assert not mismatches, mismatches[:5]
 
+
+def test_suffix_start_cases_cover_the_edges():
+    """The leftmost suffix start, which only the equitable builder reads,
+    is reached with a goal below 0 (None), a zero target across a zero
+    stretch (the start moves back to the stretch's left end) and a goal on
+    a plateau (the value across a zero run), read with the reference."""
+    kinds = set()
+    for d, _, pairs in corpus():
+        c = ref_breakpoints(d)[-1]
+        for x, t in pairs:
+            if not 0 <= x <= c or t < 0:
+                continue
+            goal = ref_prefix_at(d, x) - t
+            if goal < 0:
+                kinds.add("goal below 0")
+            elif ref_prefix(d).count(goal) > 1:
+                kinds.add("goal on a plateau")
+            if t == 0 and ref_suffix_start(d, x, t) < x:
+                kinds.add("zero target across a zero stretch")
+    assert kinds == {"goal below 0", "goal on a plateau",
+                     "zero target across a zero stretch"}
 
 
 def ref_sweep_step(d, pos, target):
@@ -404,8 +438,9 @@ def _step_mismatches():
 
 
 def test_step_cases_cover_the_edges():
-    """Read with the library's own lookups, which the tests above hold to
-    the reference, and the reference's running sums."""
+    """Read with the library's prefix_at, which the tests above hold to
+    the reference, and the reference's density lookup and running
+    sums."""
     kinds = set()
     for d, x, t in step_cases():
         c = ref_breakpoints(d)[-1]
@@ -424,7 +459,7 @@ def test_step_cases_cover_the_edges():
             kinds.add("goal past c")
         elif _on_plateau(d, x, t):
             kinds.add("goal on a plateau")
-        if x < c and d.density_right_of(x) == 0:
+        if x < c and ref_density_right_of(d, x) == 0:
             kinds.add("pos in a zero run")
         bps = ref_breakpoints(d)
         if x in bps[1:-1]:

@@ -1,6 +1,6 @@
 """Monotone rules: exact-proportional, equitable (the sweep's value and
-the moving knife's slides that certify it), and the two-agent
-rightmost-mark rule."""
+the moving knife's end state, the least exact partition, that certifies
+it), and the two-agent rightmost-mark rule."""
 
 import os
 import subprocess

@@ -1,10 +1,12 @@
 """Differential test of the exact parametric sweep.
 
 divisions.sup_uniform_feasible is compared with the sweep it replaced,
-kept below verbatim as the oracle: one greedy pass at start and another
-after every event step, and the last agent's mark stepping across
-breakpoints.  Outcomes are compared exactly, by repr, or by exception type
-and message, on three sets of lines (alphas, betas, start):
+kept below as the oracle, verbatim but for its density and breakpoint
+lookups (the references of tests/test_measure_differential.py): one
+greedy pass at start and another after every event step, and the last
+agent's mark stepping across breakpoints.  Outcomes are compared
+exactly, by repr, or by exception type and message, on three sets of
+lines (alphas, betas, start):
 
 - the equitable lines (alphas 0, betas the scales) of every ordering of the
   fixed-seed corpus in both value modes, from the proportional floor L,
@@ -56,6 +58,7 @@ from cakecut.rules_monotone import (
     max_equitable,
 )
 
+from test_measure_differential import ref_density_right_of, ref_next_breakpoint
 from test_pruned_search import (
     _random_problem,
     _tie_heavy_problem,
@@ -88,8 +91,9 @@ def oracle_sup_uniform_feasible(p, pi, alphas, betas, start):
                 stuck = True
                 break
             y = maximal_mark(d, pos, tval)
-            new_slope = (b + d.density_right_of(pos) * slope) / d.density_right_of(y)
-            events.append(theta + (d.grid.next_breakpoint(y) - y) / new_slope)
+            new_slope = ((b + ref_density_right_of(d, pos) * slope)
+                         / ref_density_right_of(d, y))
+            events.append(theta + (ref_next_breakpoint(d, y) - y) / new_slope)
             pos, slope = y, new_slope
         if stuck:
             return theta

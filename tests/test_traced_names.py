@@ -10,12 +10,18 @@ from types import SimpleNamespace
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_traced_name_resolves(monkeypatch):
+def traced_targets(monkeypatch) -> list:
+    """(span, module, attribute, observer) for every name bench/layers.py
+    wraps, as its traced run installs them."""
     monkeypatch.syspath_prepend(str(BENCH))
     layers = importlib.import_module("layers")
     lib = SimpleNamespace(**{m: importlib.import_module(f"cakecut.{m}")
                              for m in layers.MODULES})
-    targets = layers.targets(lib, layers.LayerCounters())
+    return layers.targets(lib, layers.LayerCounters())
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    targets = traced_targets(monkeypatch)
     assert targets
     missing = []
     for span, module, attr, _observe in targets:
