@@ -373,7 +373,8 @@ def leftmost_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
 
 
 def rightmost_mark(d: Density, target: Rat) -> Optional[Rat]:
-    """Maximum y with value [0, y] == target, or None."""
+    """Maximum y with value [0, y] == target, or None: maximal_mark from
+    0, a public wrapper with no library caller."""
     return maximal_mark(d, Fraction(0), target)
 
 
@@ -383,7 +384,8 @@ def maximal_mark(d: Density, start: Rat, target: Rat) -> Optional[Rat]:
     The leftmost mark extended through any zero-density stretch that
     follows it: the last point at which the prefix value reaches
     value[0, start] + target, located directly.  A public Fraction wrapper
-    over Density._mark, whose one library caller is rightmost_mark.
+    over Density._mark, with no library caller but rightmost_mark, which
+    has none.
     """
     return _mark_rat(d, start, target, 1, True)
 

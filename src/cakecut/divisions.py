@@ -265,12 +265,16 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     when the targets do not fit.  If this returns None, no connected
     partition in this ordering meets all the targets.  Each target is read
     when its agent's cut is taken, so none is read past a failing mark; a
-    negative one is refused (CakeError).  The loop is _chain's, on int
-    pairs; only the returned cuts are built as Fractions.
+    missing or negative one is refused (CakeError).  The loop is _chain's,
+    on int pairs; only the returned cuts are built as Fractions.
     """
-    steps = ((p.density(a), targets[a].numerator, targets[a].denominator)
-             for a in pi)
-    cuts = _chain(steps)
+    def step(a):
+        d = p.density(a)  # refuses an unknown agent before its target
+        if (t := targets.get(a)) is None:
+            raise CakeError(f"no target for agent {a!r}")
+        return d, t.numerator, t.denominator
+
+    cuts = _chain(map(step, pi))
     return None if cuts is None else tuple(Fraction(*y) for y in cuts)
 
 
@@ -327,7 +331,8 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
                          start: Rat) -> Optional[Rat]:
     """Largest theta such that greedy_fit succeeds with per-agent targets
     alpha_i + beta_i * theta, for strictly positive betas and targets
-    nonnegative at start (CakeError otherwise); None when start itself is
+    nonnegative at start, and one alpha and one beta per agent of a
+    nonempty ordering (CakeError otherwise); None when start itself is
     infeasible, so the supremum lies below start.
 
     Targets increase in theta and marks are monotone in their targets, so
@@ -336,9 +341,13 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     as start to skip orderings that cannot reach it.
 
     The public Fraction wrapper over the sweep's int core, _sweep, on the
-    lines _sweep_line prepares; max_equitable prepares its lines once per
-    call and runs the core itself.
+    lines _sweep_line prepares, for max_slack and the benchmark's tracer;
+    the equitable rules prepare their lines once per call and run the core
+    themselves.
     """
+    if not pi or not len(pi) == len(alphas) == len(betas):
+        raise CakeError("sweep requires a nonempty ordering and one alpha "
+                        "and one beta per agent")
     lines = [_sweep_line(p.density(a), alpha.numerator, alpha.denominator,
                          beta.numerator, beta.denominator)
              for a, alpha, beta in zip(pi, alphas, betas)]
@@ -458,9 +467,10 @@ def max_slack(p: Problem, pi: Sequence[str],
     gives every agent at least u_i + delta * V_i: the sweep of those
     targets from delta = 0.  None when even the base utilities u_i do not
     fit in this ordering.  In the library it serves only the WPO witness:
-    check_wpo_connected sweeps the one ordering its table names."""
-    return sup_uniform_feasible(p, pi, [base.absolute[a] for a in pi],
-                                [total(p.density(a)) for a in pi],
+    check_wpo_connected sweeps the one ordering its table names.  An
+    unknown agent in pi is refused (CakeError)."""
+    betas = [total(p.density(a)) for a in pi]  # refuses an unknown agent
+    return sup_uniform_feasible(p, pi, [base.absolute[a] for a in pi], betas,
                                 Fraction(0))
 
 
@@ -586,33 +596,34 @@ def _table_chain(table: list, s: int) -> list[tuple[int, Rat]]:
     return chain
 
 
-def _left_sets(left: list, right: list, rest: int
-               ) -> Iterator[tuple[int, int, tuple, tuple]]:
-    """(S, T, f(S), g(T)) for the subsets S of the bitmask rest by
-    increasing bitmask, T = rest - S, f and g the left and right
-    _mark_table tables; a set is skipped when either entry is missing or
-    f(S) > g(T), as no ordering with S left of the pivot and T right of it
-    then fits."""
+def _pivot_pieces(d: Density, left: list, right: list, rest: int
+                  ) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """(S, T, w) for the subsets S of the bitmask rest by increasing
+    bitmask, T = rest - S, f and g the left and right _mark_table tables,
+    and w the pivot's value (on d) of [f(S), g(T)] as an int pair over a
+    positive denominator, not reduced; a set is skipped when either entry
+    is missing or f(S) > g(T), as no ordering with S left of the pivot and
+    T right of it then fits."""
     for s in range(rest + 1):
         if s & ~rest:
             continue
         lo, hi = left[s], right[rest ^ s]
         if lo is not None and hi is not None and (
                 lo[0] * hi[1] <= hi[0] * lo[1]):
-            yield s, rest ^ s, lo, hi
+            yield s, rest ^ s, d._value(lo[0], lo[1], hi[0], hi[1])
 
 
 def pivot_max(p: Problem, pivot: str,
               floors: Mapping[str, Rat]) -> Optional[Rat]:
     """The pivot's largest connected piece over all orderings in which
     every other agent gets at least its floor, or None when none fits: the
-    max, over the left sets S that _left_sets yields, of the pivot's value
-    of [f(S), g(T)] (the question check_po_connected asks of each pivot).
-    The two _mark_table tables run over the other agents only, full set
-    included: 2 * m * 2^(m-1) marks at most for the m = n - 1 others.
-    floors must name exactly the other agents (CakeError otherwise, and
-    for an unknown pivot); the first mark taken for a negative floor
-    refuses it."""
+    max of the pivot's values of [f(S), g(T)] that _pivot_pieces yields,
+    the values check_po_connected compares with each pivot's base
+    utility.  The two _mark_table tables run over the other agents only,
+    full set included: 2 * m * 2^(m-1) marks at most for the m = n - 1
+    others.  floors must name exactly the other agents (CakeError
+    otherwise, and for an unknown pivot); the first mark taken for a
+    negative floor refuses it."""
     j = p.index(pivot)
     if set(floors) != set(p.agents) - {pivot}:
         raise CakeError(f"floors must name exactly the agents other than "
@@ -625,10 +636,8 @@ def pivot_max(p: Problem, pivot: str,
     left = _mark_table(dens, targets, (0, 1), 1, full=True)
     right = _mark_table(dens, targets, (c.numerator, c.denominator), -1,
                         full=True)
-    d = p.densities[j]
-    return max((Fraction(*d._value(lo[0], lo[1], hi[0], hi[1]))
-                for *_, lo, hi in _left_sets(left, right, len(left) - 1)),
-               default=None)
+    return max((Fraction(*w) for *_, w in _pivot_pieces(
+        p.densities[j], left, right, len(left) - 1)), default=None)
 
 
 def check_po_connected(p: Problem, x: Division,
@@ -646,9 +655,8 @@ def check_po_connected(p: Problem, x: Division,
     begin furthest right at g(T) (_mark_table, sign 1 and sign -1: n *
     2^(n-1) marks each instead of a chain per ordering prefix).  The
     pivot's value of [f(S), g(T)] falls as f(S) rises and as g(T) falls,
-    so j can be strictly improved iff some S that _left_sets yields has
-    value_j[f(S), g(T)] > u_j (as pivot_max reads it), that is iff j's
-    maximal mark from f(S) worth u_j lies strictly before g(T).
+    so j can be strictly improved iff some value _pivot_pieces yields (the
+    values pivot_max takes the max of) exceeds u_j.
 
     Scan order: pivots in the order of p.agents, then left sets S by
     increasing bitmask (bit i for p.agents[i]); the first improving (j, S)
@@ -667,16 +675,16 @@ def check_po_connected(p: Problem, x: Division,
                         (c.numerator, c.denominator), -1)
     for j, (d, (tn, td)) in enumerate(zip(p.densities, targets)):
         # len(left) is the full set's bitmask
-        for s, t, lo, hi in _left_sets(left, right, len(left) ^ (1 << j)):
-            z = d._mark(lo[0], lo[1], tn, td, 1, True)
-            if z is None or z[0] * hi[1] >= hi[0] * z[1]:
+        for s, t, (wn, wd) in _pivot_pieces(d, left, right,
+                                            len(left) ^ (1 << j)):
+            if wn * td <= tn * wd:
                 continue
             lefts = _table_chain(left, s)[::-1]
             rights = _table_chain(right, t)
             pi = tuple(p.agents[i] for i in (*(a for a, _ in lefts), j,
                                              *(a for a, _ in rights)))
             bounds = [y for _, y in (*lefts, *rights)] + [c]
-            best = Fraction(*d._value(lo[0], lo[1], hi[0], hi[1]))
+            best = Fraction(wn, wd)
             witness = _consecutive(pi, bounds)
             wu = utilities(p, witness, CONNECTED)
             pivot = p.agents[j]

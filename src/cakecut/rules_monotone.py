@@ -18,7 +18,6 @@ from .cake_measure import (
     InvariantError,
     Problem,
     Rat,
-    rightmost_mark,
     total,
     total_pair,
 )
@@ -31,7 +30,6 @@ from .divisions import (
     _sweep_line,
     division_from_cuts,
     fitting_orderings,
-    sup_uniform_feasible,
 )
 from .rules_classic import lowest_mark_rounds
 
@@ -50,8 +48,9 @@ class EquitableResult:
         return division_from_cuts(p, self.ordering, self.cuts)
 
     def output(self, p: Problem) -> RuleOutput:
-        return RuleOutput([self.division(p)], self.value,
-                          utilities=_equal_utilities(p, self.mode, self.value))
+        v = self.value.numerator, self.value.denominator
+        return RuleOutput([self.division(p)], self.value, utilities={
+            a: Fraction(*t) for a, t in _at(_lines(p, self.mode), v).items()})
 
 
 @dataclass
@@ -69,41 +68,34 @@ class RuleOutput:
     utilities: Optional[dict[str, Rat]] = None
 
 
-def _scales(p: Problem, mode: str) -> dict[str, tuple[int, int]]:
-    """Each agent's scale as a reduced int pair: its total value in
-    relative mode, 1 in absolute mode."""
+def _lines(p: Problem, mode: str) -> dict[str, tuple]:
+    """Each agent's equitable sweep line: _sweep_line with alpha 0 and beta
+    the agent's scale as a reduced int pair, its total value in relative
+    mode and 1 in absolute mode; _at reads its target at a value."""
     if mode == RELATIVE:
-        return {a: (v.numerator, v.denominator)
-                for a, v in zip(p.agents, map(total, p.densities))}
-    if mode == ABSOLUTE:
-        return dict.fromkeys(p.agents, (1, 1))
-    raise CakeError(f"unknown value mode {mode!r}")
+        scales = map(total, p.densities)
+    elif mode == ABSOLUTE:
+        scales = [Fraction(1)] * p.n
+    else:
+        raise CakeError(f"unknown value mode {mode!r}")
+    return {a: _sweep_line(d, 0, 1, s.numerator, s.denominator)
+            for a, d, s in zip(p.agents, p.densities, scales)}
 
 
-def _scaled(scale: dict[str, tuple[int, int]], v: tuple[int, int]
-            ) -> dict[str, tuple[int, int]]:
-    """v * scale_a for each agent, as an int pair over a positive
-    denominator, not reduced."""
+def _at(lines: dict[str, tuple], v: tuple[int, int]
+        ) -> dict[str, tuple[int, int]]:
+    """Each agent's target v * scale on its equitable line (_lines) at v =
+    vn/vd, as an int pair over a positive denominator, not reduced."""
     vn, vd = v
-    return {a: (vn * sn, vd * sd) for a, (sn, sd) in scale.items()}
+    return {a: (tb * vn, tden * vd)
+            for a, (_, _, tb, tden, *_) in lines.items()}
 
 
-def _fractions(pairs: dict[str, tuple[int, int]]) -> dict[str, Rat]:
-    """Each int pair as one Fraction."""
-    return {a: Fraction(*t) for a, t in pairs.items()}
-
-
-def _equal_utilities(p: Problem, mode: str, v: Rat) -> dict[str, Rat]:
-    """Absolute utilities of an equitable division at the value v."""
-    return _fractions(_scaled(_scales(p, mode), (v.numerator, v.denominator)))
-
-
-def _proportional_floor(p: Problem, scale: dict[str, tuple[int, int]]
-                        ) -> Rat:
+def _proportional_floor(p: Problem, lines: dict[str, tuple]) -> Rat:
     """L = min_i(V_i / scale_i) / n: 1/n in relative mode, min_i V_i / n in
     absolute mode; the ordering of exact_proportional reaches it."""
-    return min(Fraction(vn * sd, vd * sn * p.n) for (vn, vd), (sn, sd)
-               in zip(map(total_pair, p.densities), scale.values()))
+    return min(Fraction(vn * sd, vd * sn * p.n) for (vn, vd), (*_, sn, sd)
+               in zip(map(total_pair, p.densities), lines.values()))
 
 
 def exact_proportional(p: Problem) -> Division:
@@ -121,26 +113,20 @@ def exact_proportional(p: Problem) -> Division:
 
 def rightmost_mark_rule(p: Problem) -> Division:
     """Two agents: cut at the rightmost of the two rightmost half-value
-    points; the agent who made that mark takes the right piece.  Equal
-    marks give the right piece to the second-listed agent."""
+    points (each the maximal mark from 0 worth half the agent's total, from
+    Density._mark as cut_and_choose takes its leftmost one); the agent who
+    made that mark takes the right piece.  Equal marks give the right piece
+    to the second-listed agent."""
     if p.n != 2:
         raise CakeError("rightmost-mark requires exactly 2 agents")
-    first, second = p.agents
-    marks = {}
-    for a in p.agents:
-        d = p.density(a)
-        y = rightmost_mark(d, total(d) / 2)
-        if y is None:
-            raise InvariantError("every agent has a half-value mark")
-        marks[a] = y
-    if marks[second] >= marks[first]:
-        right_agent, cut = second, marks[second]
-    else:
-        right_agent, cut = first, marks[first]
-    left_agent = first if right_agent == second else second
+    marks = []
+    for i, d in enumerate(p.densities):
+        wn, wd = total_pair(d)
+        marks.append((Fraction(*d._mark(0, 1, wn, 2 * wd, 1, True)), i))
+    cut, i = max(marks)  # (mark, index): ties to the higher index
     return Division.of({
-        left_agent: [Interval(Fraction(0), cut)],
-        right_agent: [Interval(cut, p.cake_length)],
+        p.agents[1 - i]: [Interval(Fraction(0), cut)],
+        p.agents[i]: [Interval(cut, p.cake_length)],
     })
 
 
@@ -148,40 +134,38 @@ def rightmost_mark_rule(p: Problem) -> Division:
 # Equitable rules
 
 
-def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
-                           v: Optional[Rat] = None) -> EquitableResult:
-    """Exact event-driven end state of the two-phase moving knife at the
-    ordering's equitable value v.
-
-    One knife per agent plus a value screen t.  In phase 1 all knives move
-    so that agent i's piece [x_{i-1}, x_i] stays worth exactly t * scale_i.
-    Whenever some knife sits at the left edge of a stretch where its own
-    agent's density is zero, the rightmost such knife slides freely through
-    the stretch while knives to its right keep their piece values constant
-    (phase 2).  Stops when the last knife reaches the end of the cake, at
-    t = v.
-
-    v is the ordering's value from the sweep (equitable_value_oracle when
-    the caller does not pass it).  Once the slides at a screen value are
-    done, the knives form the chain of maximal marks at that value, and a
-    maximal mark whose target rises to g tends to the first point worth g,
-    so the knife run from t = 0 arrives at t = v with the knives on the
-    greedy_fit chain at v * scale_i, and the slides at v move them right
-    to the least exact partition in the ordering.  _knife_cuts, the
-    builder max_equitable shares, computes that partition in closed form
-    on int pairs and certifies v: the chain fails when v is above the
-    ordering's value, and below it no exact partition exists; both, a
-    piece not worth v * scale, and a negative v raise InvariantError.
-    """
+def _ordering_lines(p: Problem, pi: Sequence[str], mode: str
+                    ) -> tuple[tuple[str, ...], list[tuple]]:
+    """pi as a tuple and its agents' equitable lines (_lines) in its order,
+    the one check of the per-ordering entries: pi must be a permutation of
+    the agents (CakeError otherwise)."""
     pi = tuple(pi)
     if sorted(pi) != sorted(p.agents):
         raise CakeError("ordering must be a permutation of the agents")
+    lines = _lines(p, mode)
+    return pi, [lines[a] for a in pi]
+
+
+def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
+                           v: Optional[Rat] = None) -> EquitableResult:
+    """The moving knife's division in the ordering pi at its equitable
+    value v: the least exact partition in pi, the componentwise least cuts
+    that end at c and give every agent's piece exactly v * scale.
+
+    v is the ordering's value from the sweep (_sweep from 0 on the
+    ordering's lines, as equitable_value_oracle runs it) when the caller
+    does not pass it.  _knife_cuts, the builder max_equitable shares,
+    computes the partition in closed form on int pairs and certifies v:
+    the greedy chain fails when v is above the ordering's value, and below
+    it no exact partition exists; both, a piece not worth v * scale, and a
+    negative v raise InvariantError.  pi must be a permutation of the
+    agents (CakeError otherwise).
+    """
+    pi, lines = _ordering_lines(p, pi, mode)
     if v is None:
-        v = equitable_value_oracle(p, pi, mode)
+        v = Fraction(*_sweep(lines, (0, 1)))
     if v < 0:
         raise InvariantError(f"value {v} is below the ordering's value")
-    scale = _scales(p, mode)
-    lines = [_sweep_line(p.density(a), 0, 1, *scale[a]) for a in pi]
     cuts = _knife_cuts(p, pi, lines, (v.numerator, v.denominator))
     return EquitableResult(pi, cuts, v, mode)
 
@@ -190,8 +174,7 @@ def _knife_cuts(p: Problem, pi: Sequence[str], lines: Sequence[tuple],
                 v: tuple[int, int]) -> tuple[Rat, ...]:
     """The moving knife's cuts in the ordering pi at its value v = vn/vd
     (vn >= 0; see equitable_for_ordering), one Fraction per cut, from the
-    ordering's sweep lines (_sweep_line, alpha 0 and beta the scale), whose
-    target at v is v * scale.
+    ordering's equitable lines (_lines), whose target at v is v * scale.
 
     The knife's end state is the least exact partition in pi: the
     componentwise least cut vector that ends at c and gives every piece
@@ -253,14 +236,13 @@ def _knife_cuts(p: Problem, pi: Sequence[str], lines: Sequence[tuple],
 
 def equitable_value_oracle(p: Problem, pi: Sequence[str], mode: str) -> Rat:
     """The equitable value for an ordering: sup{t : sequential minimal
-    prefixes with targets t * scale_i fit in the cake}, by the sweep.
-    equitable_for_ordering builds its division at this value, and its
-    least exact partition certifies it."""
-    scale = _scales(p, mode)
-    zeros = [Fraction(0)] * p.n
-    return sup_uniform_feasible(p, pi, zeros,
-                                [Fraction(*scale[a]) for a in pi],
-                                Fraction(0))
+    prefixes with targets t * scale_i fit in the cake}, by the sweep's int
+    core (_sweep) from 0 on the ordering's lines, where the targets are all
+    0 and fit.  equitable_for_ordering builds its division at this value,
+    and its least exact partition certifies it.  pi must be a permutation
+    of the agents (CakeError otherwise)."""
+    _, lines = _ordering_lines(p, pi, mode)
+    return Fraction(*_sweep(lines, (0, 1)))
 
 
 def max_equitable(p: Problem, mode: str) -> RuleOutput:
@@ -268,29 +250,27 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
     all agent orderings; returns the moving-knife divisions of all argmax
     orderings, in permutation order.
 
-    Each agent's scale and sweep line (_sweep_line) is prepared once per
-    call, and the search runs on int pairs.  It keeps a floor, as a pair:
-    the best value so far, or before that the proportional bound L (see
+    Each agent's equitable line (_lines) is prepared once per call, and
+    the search runs on int pairs.  It keeps a floor, as a pair: the best
+    value so far, or before that the proportional bound L (see
     _proportional_floor).  fitting_orderings walks the orderings with
-    targets floor * scale_i, held as int pairs (_scaled), updated when the
+    targets floor * scale_i, held as int pairs (_at), updated when the
     floor rises and read when each cut is taken, and prunes every ordering
     whose prefix does not fit; the floor only rises, so pruning from cuts
     taken at an earlier floor never drops an ordering that reaches the
-    current one.  Each ordering it yields is swept from the floor by the
-    sweep's int core (_sweep), which returns None for one that no longer
-    reaches it.  Each winner's cuts are built at the best value by
-    _knife_cuts, the builder equitable_for_ordering runs, whose chain and
-    least exact partition certify that value and whose per-piece check
-    certifies every piece worth best * scale_a, so a wrong sweep value
-    raises InvariantError; best * scale, built as Fractions once, is the
-    output's one utility vector.
+    current one.  Each ordering it yields is
+    swept from the floor by the sweep's int core (_sweep), which returns
+    None for one that no longer reaches it.  Each winner's cuts are built
+    at the best value by _knife_cuts, the builder equitable_for_ordering
+    runs, whose chain and least exact partition certify that value and
+    whose per-piece check certifies every piece worth best * scale_a, so a
+    wrong sweep value raises InvariantError; best * scale, built as
+    Fractions once, is the output's one utility vector.
     """
-    scale = _scales(p, mode)
-    lines = {a: _sweep_line(d, 0, 1, *scale[a])
-             for a, d in zip(p.agents, p.densities)}
-    floor = _proportional_floor(p, scale)
+    lines = _lines(p, mode)
+    floor = _proportional_floor(p, lines)
     best = floor.numerator, floor.denominator
-    targets = _scaled(scale, best)
+    targets = _at(lines, best)
     winners: list[tuple[str, ...]] = []
     for pi in fitting_orderings(p, targets.__getitem__):
         v = _sweep([lines[a] for a in pi], best)
@@ -298,7 +278,7 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
             continue
         if v[0] * best[1] > best[0] * v[1]:  # else v == best
             best, winners = v, []
-            targets.update(_scaled(scale, v))
+            targets.update(_at(lines, v))
         winners.append(pi)
     if not winners:
         raise CakeError("no ordering reaches the proportional bound")
@@ -306,4 +286,4 @@ def max_equitable(p: Problem, mode: str) -> RuleOutput:
         p, pi, [lines[a] for a in pi], best)) for pi in winners]
     # the targets at the last floor are best * scale_a, the utilities
     return RuleOutput(divisions, Fraction(*best), winners,
-                      utilities=_fractions(targets))
+                      utilities={a: Fraction(*t) for a, t in targets.items()})

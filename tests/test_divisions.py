@@ -337,6 +337,15 @@ class TestGreedyFit:
         with pytest.raises(CakeError):
             greedy_fit(p, ("A", "B"), {"A": F(-1), "B": F(0)})
 
+    def test_missing_target_rejected(self):
+        p = forced_pair()
+        with pytest.raises(CakeError, match="^no target for agent 'B'$"):
+            greedy_fit(p, ("A", "B"), {"A": F(1)})
+
+    def test_targets_read_lazily(self):
+        # A's 100 does not fit, so B's missing target is never read
+        assert greedy_fit(forced_pair(), ("A", "B"), {"A": F(100)}) is None
+
 
 class TestConstrainedMax:
     """pivot_max, the pivot's largest piece over all orderings given floors
@@ -400,6 +409,24 @@ class TestSweep:
         base = utilities(p, x)  # (6, 8): B's 8 needs the whole suffix
         # ordering (B, A) cannot even reproduce the base utilities
         assert max_slack(p, ("B", "A"), base) is None
+
+    def test_max_slack_rejects_an_unknown_agent(self):
+        p = forced_pair()
+        base = utilities(p, Division.of({"A": [], "B": []}))
+        with pytest.raises(CakeError, match="^unknown agent 'Z'$"):
+            max_slack(p, ("A", "Z"), base)
+
+    @pytest.mark.parametrize("pi, alphas, betas", [
+        (("A",), [F(0)], [F(1), F(1)]),
+        (("A",), [F(0), F(0)], [F(1)]),
+        (("A", "B"), [F(0)], [F(1)]),
+        ((), [], []),
+    ], ids=["extra-beta", "extra-alpha", "short-lines", "empty"])
+    def test_rejects_lines_that_do_not_match_the_ordering(self, pi, alphas,
+                                                          betas):
+        with pytest.raises(CakeError, match="^sweep requires a nonempty "
+                                            "ordering"):
+            sup_uniform_feasible(forced_pair(), pi, alphas, betas, F(0))
 
     def test_max_slack_monotone_in_base(self):
         p = nash_cake()

@@ -439,6 +439,26 @@ def test_pivot_max_tables_run_over_the_other_agents(monkeypatch):
         assert all(d is not p.density(pivot) for d in marks)
 
 
+@pytest.mark.parametrize("index", CASES, ids=_ids())
+def test_po_verdict_is_the_pivot_max_of_every_pivot(index):
+    """x is PO iff no pivot's pivot_max over the others' base utilities
+    exceeds its own base utility; on FAIL the witness gives its one
+    improved agent, the pivot, more than its base utility and at most its
+    pivot_max."""
+    p = corpus()[index]
+    for x in _po_inputs(p):
+        base = utilities(p, x, CONNECTED).absolute
+        best = {j: pivot_max(p, j, {a: base[a] for a in p.agents if a != j})
+                for j in p.agents}
+        result = check_po_connected(p, x)
+        assert result.ok == all(best[j] is None or best[j] <= base[j]
+                                for j in p.agents)
+        if not result.ok:
+            wu = result.witness_utilities.absolute
+            pivot, = [a for a in p.agents if wu[a] > base[a]]
+            assert base[pivot] < wu[pivot] <= best[pivot]
+
+
 def test_corpus_floors_reach_both_pivot_outcomes():
     assert {pivot_max(p, pivot, floors) is None
             for index, p in enumerate(corpus())

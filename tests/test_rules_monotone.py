@@ -18,6 +18,7 @@ from cakecut.cake_measure import (
     InvariantError,
     append,
     problem,
+    total,
 )
 from cakecut.divisions import (
     ABSOLUTE,
@@ -25,6 +26,7 @@ from cakecut.divisions import (
     check_ef,
     check_esv,
     check_prop,
+    sup_uniform_feasible,
     utilities,
 )
 from cakecut.rules_monotone import (
@@ -163,6 +165,32 @@ class TestOracle:
         p = problem(["A"], [1, 1], [[1, 3]])
         assert equitable_value_oracle(p, ("A",), RELATIVE) == 1
         assert equitable_value_oracle(p, ("A",), ABSOLUTE) == 4
+
+    @pytest.mark.parametrize("pi", [("A", "Z"), ("A", "A"), ("A",),
+                                    ("A", "B", "A")],
+                             ids=["unknown", "repeated", "short", "long"])
+    @pytest.mark.parametrize("mode", [RELATIVE, ABSOLUTE])
+    def test_rejects_non_permutation(self, pi, mode):
+        # the check equitable_for_ordering makes, with its message
+        p = zero_region_pair()
+        for entry in (equitable_value_oracle, equitable_for_ordering):
+            with pytest.raises(CakeError, match="^ordering must be a "
+                                                "permutation of the agents$"):
+                entry(p, pi, mode)
+
+    def test_equals_the_public_sweep_on_the_corpus(self):
+        """The oracle's own sweep (_sweep on its lines) against the public
+        wrapper on the targets 0 + scale_i * t from 0, in every ordering of
+        the pruned-search corpus and both modes."""
+        for p in corpus():
+            zeros = [F(0)] * p.n
+            for mode in (RELATIVE, ABSOLUTE):
+                scale = {a: total(p.density(a)) if mode == RELATIVE else F(1)
+                         for a in p.agents}
+                for pi in permutations(p.agents):
+                    assert equitable_value_oracle(p, pi, mode) == (
+                        sup_uniform_feasible(p, pi, zeros,
+                                             [scale[a] for a in pi], F(0)))
 
 
 class TestMaxEquitable:
