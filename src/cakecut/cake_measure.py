@@ -34,6 +34,16 @@ def _rat(x) -> Rat:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _exact(x, what: str):
+    """x itself when it is an exact rational, an int or a Fraction: the one
+    check of the public entries that read a number's numerator and
+    denominator.  A float (whose numerator would be missing, or a binary
+    approximation), a bool or anything else is refused (CakeError)."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise CakeError(f"{what} must be an int or a Fraction, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]; empty iff lo == hi."""
@@ -57,28 +67,54 @@ class Interval:
 
     @property
     def empty(self) -> bool:
-        return self.lo == self.hi
+        # both ends are Fractions in lowest terms
+        lo, hi = self.lo, self.hi
+        return (lo.numerator == hi.numerator
+                and lo.denominator == hi.denominator)
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+class _Built:
+    """A kernel entry of a SliceGrid or Density.  The first read of any
+    entry runs the owner's _build, the one int pass that sets every entry
+    in the instance __dict__; later reads find it there before this
+    descriptor, which defines no __set__ (as functools.cached_property)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj._build()
+        return vars(obj)[self.name]
 
 
 @dataclass(frozen=True)
 class SliceGrid:
     """Partition of [0, c] into slices of strictly positive length.
 
-    Point lookups run on integers: ``scaled``, built in ints on first use,
-    holds S, the lcm of the length denominators, and B, the running sums of
-    the lengths times S.  Density's prefix evaluator places a point x =
-    num/den by q, r = divmod(num * S, den), so q is floor(x * S): for an
-    integer key B[k], B[k] <= x * S holds exactly when B[k] <= q, so k =
-    bisect_right(B, q) - 1 gives B[k] <= x * S < B[k + 1], and x * S equals
-    B[k] exactly when r == 0 and B[k] == q.  ``breakpoints`` is the view B
-    / S, and ``breakpoint_pairs`` its int-pair view, which the sweep reads
-    (and the equitable builder, for c).
+    Point lookups run on integers.  The grid's kernel is built on first
+    use in one int pass over the lengths, reading each one's numerator and
+    denominator once: ``scaled`` holds S, the lcm of the length
+    denominators, and B, the running sums of the lengths times S;
+    ``breakpoint_pairs`` holds each breakpoint B[k] / S as a reduced int
+    pair, flat, which the sweep and the breakpoint marks read; and
+    ``cake_length`` is c, one Fraction from the last pair.  The Fraction
+    view ``breakpoints`` is built only when read.  Density's entries place
+    a point x = num/den by q, r = divmod(num * S, den), so q is floor(x *
+    S): for an integer key B[k], B[k] <= x * S holds exactly when B[k] <=
+    q, so k = bisect_right(B, q) - 1 gives B[k] <= x * S < B[k + 1], and x
+    * S equals B[k] exactly when r == 0 and B[k] == q.
     """
 
     lengths: tuple[Rat, ...]
+
+    scaled = _Built()  # (S, B)
+    breakpoint_pairs = _Built()  # breakpoints[k] is pairs[2k] / pairs[2k + 1]
+    cake_length = _Built()
 
     def __post_init__(self):
         lengths = tuple(_rat(x) for x in self.lengths)
@@ -88,56 +124,55 @@ class SliceGrid:
         if any(x.numerator <= 0 for x in lengths):
             raise CakeError("slice lengths must be strictly positive")
 
+    def _build(self):
+        pairs = [x.as_integer_ratio() for x in self.lengths]
+        s = lcm(*(d for _, d in pairs))
+        b = tuple(accumulate((n * (s // d) for n, d in pairs), initial=0))
+        flat = []
+        for x in b:
+            g = gcd(x, s)
+            flat += x // g, s // g
+        vars(self).update(scaled=(s, b), breakpoint_pairs=tuple(flat),
+                          cake_length=Fraction(flat[-2], flat[-1]))
+
     @cached_property
     def breakpoints(self) -> tuple[Rat, ...]:
-        s, b = self.scaled
-        return tuple(Fraction(x, s) for x in b)
-
-    @cached_property
-    def breakpoint_pairs(self) -> tuple[int, ...]:
-        """The int-pair view of breakpoints, flat: breakpoints[k] is
-        breakpoint_pairs[2k] / breakpoint_pairs[2k + 1], in lowest
-        terms."""
-        return tuple(x for z in self.breakpoints
-                     for x in (z.numerator, z.denominator))
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(S, B): S = lcm of the length (equally, breakpoint)
-        denominators, B[k] = breakpoints[k] * S as an int."""
-        s = lcm(*(x.denominator for x in self.lengths))
-        steps = (x.numerator * (s // x.denominator) for x in self.lengths)
-        return s, tuple(accumulate(steps, initial=0))
-
-    @property
-    def cake_length(self) -> Rat:
-        return self.breakpoints[-1]
+        z = self.breakpoint_pairs
+        return tuple(Fraction(z[i], z[i + 1]) for i in range(0, len(z), 2))
 
 
 @dataclass(frozen=True)
 class Density:
     """Per-slice constant densities on a grid; total value must be positive.
 
-    Every value, mark and sweep step runs on one integer kernel, built in
-    ints on first use: ``scaled`` holds K, P and R, where P[k] / K is the
-    value of [0, b_k] and values[k] = R[k] * S / K for the grid's scale S,
-    and K is the least denominator that makes them all ints.  ``_prefix``,
-    the one prefix evaluator, places a point on the grid (as SliceGrid
-    describes) and evaluates K * den * value[0, num/den] as an int.  ``_mark``
-    is the one mark entry, int pairs in and a normalised int pair out,
-    which the library's mark chains and the classic protocols carry from
-    mark to mark: one prefix evaluation, then one goal locate written in
-    its body, which places the goal value among P by comparing floor(goal *
-    K) with P, exact for the same reason as point lookups on the grid.  Its
-    step mode, the maximal mark with the value left and the slice indices
-    the sweep reads, is the parametric sweep's step.  ``_value`` is the one
-    value entry, int pairs in, an unreduced int pair out, which the
-    protocols and piece valuation compare by cross-multiplication.  Each
-    public result is built from these ints as one normalised Fraction.
+    Every value, mark and sweep step runs on one integer kernel, built on
+    first use in one int pass over the densities that reads each one's
+    numerator and denominator once (after the grid's own pass, see
+    SliceGrid): ``scaled`` holds K, P and R, where P[k] / K is the value of
+    [0, b_k] and values[k] = R[k] * S / K for the grid's scale S, and K is
+    the least denominator that makes them all ints; ``value_pairs`` holds
+    each density as a reduced int pair, flat, which the sweep reads.  The
+    kernel has two entries, each one Python frame that places its points on
+    the grid (as SliceGrid describes) and evaluates K * den * value[0,
+    num/den] as an int in its own body.  ``_mark`` is the one mark entry,
+    int pairs in and a normalised int pair out, which the library's mark
+    chains and the classic protocols carry from mark to mark: one prefix
+    evaluation, then one goal locate, which places the goal value among P
+    by comparing floor(goal * K) with P, exact for the same reason as point
+    lookups on the grid; a mark on a breakpoint reads the grid's
+    breakpoint_pairs.  Its step mode, the maximal mark with the value left
+    and the slice indices the sweep reads, is the parametric sweep's step.
+    ``_value`` is the one value entry, int pairs in, an unreduced int pair
+    out, which the protocols and piece valuation compare by
+    cross-multiplication.  Each public result is built from these ints as
+    one normalised Fraction.
     """
 
     grid: SliceGrid
     values: tuple[Rat, ...]
+
+    scaled = _Built()  # (K, P, R)
+    value_pairs = _Built()  # values[k] is pairs[2k] / pairs[2k + 1]
 
     def __post_init__(self):
         values = tuple(_rat(x) for x in self.values)
@@ -149,47 +184,29 @@ class Density:
         if not any(values):  # slices have positive length
             raise CakeError("agent must value the cake positively")
 
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(K, P, R) from D, the lcm of the density denominators: R[k] =
-        values[k] * D, P the running sums of (B[k + 1] - B[k]) * R[k], and K
-        = S * D, all divided by their gcd, which leaves the least K."""
+    def _build(self):
+        """R[k] = values[k] * D for D the lcm of the density denominators,
+        and K = S * D, both divided by g = gcd(K, *R), then P the running
+        sums of (B[k + 1] - B[k]) * R[k].  Each P[k] is a sum of multiples
+        of the R, so g is also gcd(K, *P, *R), and K is the least."""
         s, b = self.grid.scaled
-        d = lcm(*(v.denominator for v in self.values))
-        rate = [v.numerator * (d // v.denominator) for v in self.values]
-        p = list(accumulate(
-            ((hi - lo) * r for lo, hi, r in zip(b, b[1:], rate)), initial=0))
-        g = gcd(s * d, *p, *rate)
-        return s * d // g, tuple(x // g for x in p), tuple(x // g for x in rate)
-
-    @cached_property
-    def value_pairs(self) -> tuple[int, ...]:
-        """The int-pair view of values, flat: values[k] is
-        value_pairs[2k] / value_pairs[2k + 1], in lowest terms.  Only the
-        sweep reads densities here, at the slice indices _mark's step mode
-        returns."""
-        return tuple(x for v in self.values
-                     for x in (v.numerator, v.denominator))
+        pairs = [v.as_integer_ratio() for v in self.values]
+        d = lcm(*(vd for _, vd in pairs))
+        rate = [vn * (d // vd) for vn, vd in pairs]
+        m = s * d
+        g = gcd(m, *rate)
+        if g > 1:
+            m //= g
+            rate = [r // g for r in rate]
+        p = accumulate(((hi - lo) * r for lo, hi, r in zip(b, b[1:], rate)),
+                       initial=0)
+        vars(self).update(scaled=(m, tuple(p), tuple(rate)),
+                          value_pairs=tuple(x for v in pairs for x in v))
 
     @cached_property
     def _total(self) -> Rat:
-        return Fraction(self.scaled[1][-1], self.scaled[0])
-
-    def _prefix(self, num: int, den: int) -> Optional[tuple[int, int]]:
-        """Prefix evaluator: (k, K * den * value[0, x]) for the point x =
-        num/den (den > 0), where k is the slice right of x (len(values)
-        at x = c); None when x lies outside the cake."""
-        s, b = self.grid.scaled
-        q, r = divmod(num * s, den)  # q = floor(x * S): see SliceGrid
-        c = b[-1]
-        if q < 0 or q > c or (q == c and r):  # x < 0 or x > c
-            return None
-        m, p, rate = self.scaled
-        if q == c:  # x == c
-            return len(self.values), p[-1] * den
-        k = bisect_right(b, q) - 1
-        # K * value = P[k] + R[k] * (x * S - B[k]), and x * S = q + r / den
-        return k, p[k] * den + rate[k] * ((q - b[k]) * den + r)
+        m, p, _ = self.scaled
+        return Fraction(p[-1], m)
 
     def _mark(self, xn: int, xd: int, tn: int, td: int, sign: int = 1,
               last: bool = False, step: bool = False):
@@ -214,19 +231,29 @@ class Density:
         refused as a point, the sweep's word for it."""
         if tn < 0:
             raise CakeError("target must be nonnegative")
-        at = self._prefix(xn, xd)
-        if at is None:
+        s, b = self.grid.scaled
+        q, r = divmod(xn * s, xd)  # q = floor(x * S): see SliceGrid
+        c = b[-1]
+        if q < 0 or q > c or (q == c and r):  # x < 0 or x > c
             what = "end" if sign < 0 else "point" if step else "start"
             raise CakeError(f"{what} {Fraction(xn, xd)} outside cake")
         if tn == 0 and last != (sign > 0):
             return xn, xd
         m, p, rate = self.scaled
+        # the prefix evaluation: i is the slice right of x (len(rate) at
+        # x = c), and K * value[0, x] = P[i] + R[i] * (x * S - B[i]), with
+        # x * S = q + r / xd
+        if q == c:
+            i, at = len(rate), p[-1] * xd
+        else:
+            i = bisect_right(b, q) - 1
+            at = p[i] * xd + rate[i] * ((q - b[i]) * xd + r)
         den = xd * td
-        g = at[1] * td + sign * tn * m * xd  # the goal in the kernel's units
+        g = at * td + sign * tn * m * xd  # the goal in the kernel's units
         if step:
             left = p[-1] * den - g, m * den
             if left[0] <= 0:
-                return left, None, at[0], None
+                return left, None, i, None
         elif g > p[-1] * den if sign > 0 else g < 0:
             return None
         # the goal locate: g / den is the goal already scaled by K, and k
@@ -236,7 +263,6 @@ class Density:
         if r or p[k] != q:
             # P[k] < goal * K < P[k + 1], so slice k has positive density:
             # y = B[k] / S + (goal * K - P[k]) / (R[k] * S)
-            s, b = self.grid.scaled
             yn, yd = (b[k] * rate[k] + q - p[k]) * den + r, rate[k] * s * den
             h = gcd(yn, yd)
             y = yn // h, yd // h
@@ -247,29 +273,39 @@ class Density:
             if not last:
                 while k > 0 and p[k - 1] == q:
                     k -= 1
-            y = self.grid.breakpoints[k]
-            y = y.numerator, y.denominator
-        return (left, y, at[0], k) if step else y
+            z = self.grid.breakpoint_pairs
+            y = z[2 * k], z[2 * k + 1]
+        return (left, y, i, k) if step else y
 
     def _value(self, an: int, ad: int, bn: int,
                bd: int) -> Optional[tuple[int, int]]:
         """Value entry on int pairs: value[a, b] for a = an/ad and b =
         bn/bd (both denominators positive, 0 <= a <= b) as a pair over a
-        positive denominator, not reduced, or None when b > c."""
-        top = self._prefix(bn, bd)
-        if top is None:
+        positive denominator, not reduced, or None when b lies outside the
+        cake.  Each end is placed on the grid and evaluated as the mark
+        entry evaluates its start, with the slice left of c standing for
+        c itself (its rate times x * S - B = 0 adds nothing)."""
+        s, b = self.grid.scaled
+        q, r = divmod(bn * s, bd)
+        c = b[-1]
+        if q < 0 or q > c or (q == c and r):  # b < 0 or b > c
             return None
-        bottom = self._prefix(an, ad)[1]
-        return top[1] * ad - bottom * bd, self.scaled[0] * ad * bd
+        m, p, rate = self.scaled
+        n = len(rate)
+        k = bisect_right(b, q, 0, n) - 1
+        top = p[k] * bd + rate[k] * ((q - b[k]) * bd + r)
+        q, r = divmod(an * s, ad)
+        k = bisect_right(b, q, 0, n) - 1
+        bottom = p[k] * ad + rate[k] * ((q - b[k]) * ad + r)
+        return top * ad - bottom * bd, m * ad * bd
 
     def prefix_at(self, x: Rat) -> Rat:
-        """Value of [0, x]: a public Fraction wrapper over the prefix
-        evaluator (_prefix), with no library caller."""
-        xd = x.denominator
-        at = self._prefix(x.numerator, xd)
-        if at is None:
+        """Value of [0, x]: a public Fraction wrapper over the value entry
+        (_value from 0), with no library caller."""
+        v = self._value(0, 1, x.numerator, x.denominator)
+        if v is None:
             raise CakeError(f"point {x} outside cake")
-        return Fraction(at[1], self.scaled[0] * xd)
+        return Fraction(*v)
 
 
 def total(d: Density) -> Rat:
@@ -299,7 +335,10 @@ def value(d: Density, iv: Interval) -> Rat:
 
 def merge_components(piece: Iterable[Interval]) -> list[Interval]:
     """Sort disjoint intervals and merge touching ones into connected components."""
-    parts = sorted((iv for iv in piece if not iv.empty), key=lambda iv: iv.lo)
+    parts = [iv for iv in piece if not iv.empty]
+    if len(parts) < 2:  # nothing to sort or merge
+        return parts
+    parts.sort(key=lambda iv: iv.lo)
     merged: list[Interval] = []
     for iv in parts:
         if merged:
@@ -497,18 +536,25 @@ def parse_rat(s) -> Rat:
     exponents, underscores) are refused; an exponent would make it build
     the power in full.  JSON floats (and booleans, which are ints in
     Python) are refused: a float such as 1.1 is not the rational it was
-    written as.
+    written as.  Unsigned strings, the files' usual form, are split at the
+    slash without the regex: str.isdigit alone would accept non-ASCII
+    digits such as "²", so the string must also be ASCII.
     """
     if isinstance(s, (float, bool)):
         raise CakeError(f"bad rational {s!r}: write it as a \"p/q\" string")
     if isinstance(s, int):
         return Fraction(s)
-    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    if m is None:
+    if not isinstance(s, str):
         raise CakeError(f"bad rational {s!r}")
-    num, den = m.groups()
+    num, slash, den = s.partition("/")
+    if not (s.isascii() and num.isdigit()
+            and (not slash or den.isdigit())):
+        m = _RATIONAL.fullmatch(s)
+        if m is None:
+            raise CakeError(f"bad rational {s!r}")
+        num, den = m.groups()
     try:
-        return Fraction(int(num), int(den or 1))
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as e:
         raise CakeError(f"bad rational {s!r}") from e
 

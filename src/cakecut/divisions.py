@@ -39,6 +39,7 @@ from .cake_measure import (
     InvariantError,
     Problem,
     Rat,
+    _exact,
     format_rat,
     merge_components,
     parse_list,
@@ -265,13 +266,15 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     when the targets do not fit.  If this returns None, no connected
     partition in this ordering meets all the targets.  Each target is read
     when its agent's cut is taken, so none is read past a failing mark; a
-    missing or negative one is refused (CakeError).  The loop is _chain's,
-    on int pairs; only the returned cuts are built as Fractions.
+    missing, inexact (a float, say) or negative one is refused (CakeError).
+    The loop is _chain's, on int pairs; only the returned cuts are built as
+    Fractions.
     """
     def step(a):
         d = p.density(a)  # refuses an unknown agent before its target
         if (t := targets.get(a)) is None:
             raise CakeError(f"no target for agent {a!r}")
+        t = _exact(t, "target")
         return d, t.numerator, t.denominator
 
     cuts = _chain(map(step, pi))
@@ -307,6 +310,16 @@ def fitting_orderings(p: Problem, target: Callable[[str], tuple[int, int]]
                 yield from walk(prefix + (a,), rest[:i] + rest[i + 1:], *y)
 
     return walk((), p.agents, 0, 1)
+
+
+def _permutation(p: Problem, pi: Sequence[str]) -> tuple[str, ...]:
+    """pi as a tuple: the one check of the entries that take a full
+    ordering, which must be a permutation of the agents (CakeError
+    otherwise)."""
+    pi = tuple(pi)
+    if sorted(pi) != sorted(p.agents):
+        raise CakeError("ordering must be a permutation of the agents")
+    return pi
 
 
 def _consecutive(pi: Sequence[str], bounds: Sequence[Rat]) -> Division:
@@ -348,8 +361,10 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     if not pi or not len(pi) == len(alphas) == len(betas):
         raise CakeError("sweep requires a nonempty ordering and one alpha "
                         "and one beta per agent")
-    lines = [_sweep_line(p.density(a), alpha.numerator, alpha.denominator,
-                         beta.numerator, beta.denominator)
+    start = _exact(start, "start")
+    lines = [_sweep_line(p.density(a),
+                         *_exact(alpha, "alpha").as_integer_ratio(),
+                         *_exact(beta, "beta").as_integer_ratio())
              for a, alpha, beta in zip(pi, alphas, betas)]
     if any(bn <= 0 for *_, bn, _ in lines):
         raise CakeError("sweep requires strictly positive slopes")
@@ -468,8 +483,11 @@ def max_slack(p: Problem, pi: Sequence[str],
     targets from delta = 0.  None when even the base utilities u_i do not
     fit in this ordering.  In the library it serves only the WPO witness:
     check_wpo_connected sweeps the one ordering its table names.  An
-    unknown agent in pi is refused (CakeError)."""
+    unknown agent in pi is refused (CakeError), and so is a pi that is not
+    a permutation of the agents, as for the equitable entries: a slack
+    must leave a partition among all of them."""
     betas = [total(p.density(a)) for a in pi]  # refuses an unknown agent
+    pi = _permutation(p, pi)
     return sup_uniform_feasible(p, pi, [base.absolute[a] for a in pi], betas,
                                 Fraction(0))
 
@@ -621,17 +639,17 @@ def pivot_max(p: Problem, pivot: str,
     the values check_po_connected compares with each pivot's base
     utility.  The two _mark_table tables run over the other agents only,
     full set included: 2 * m * 2^(m-1) marks at most for the m = n - 1
-    others.  floors must name exactly the other agents (CakeError
-    otherwise, and for an unknown pivot); the first mark taken for a
-    negative floor refuses it."""
+    others.  floors must name exactly the other agents with exact
+    rationals (CakeError otherwise, for a float, say, and for an unknown
+    pivot); the first mark taken for a negative floor refuses it."""
     j = p.index(pivot)
     if set(floors) != set(p.agents) - {pivot}:
         raise CakeError(f"floors must name exactly the agents other than "
                         f"the pivot {pivot!r}")
     others = [i for i in range(p.n) if i != j]
     dens = [p.densities[i] for i in others]
-    targets = [(f.numerator, f.denominator)
-               for f in (floors[p.agents[i]] for i in others)]
+    targets = [_exact(floors[p.agents[i]], "floor").as_integer_ratio()
+               for i in others]
     c = p.cake_length
     left = _mark_table(dens, targets, (0, 1), 1, full=True)
     right = _mark_table(dens, targets, (c.numerator, c.denominator), -1,

@@ -18,6 +18,7 @@ from .cake_measure import (
     InvariantError,
     Problem,
     Rat,
+    _exact,
     total,
     total_pair,
 )
@@ -26,6 +27,7 @@ from .divisions import (
     RELATIVE,
     Division,
     _chain,
+    _permutation,
     _sweep,
     _sweep_line,
     division_from_cuts,
@@ -136,12 +138,10 @@ def rightmost_mark_rule(p: Problem) -> Division:
 
 def _ordering_lines(p: Problem, pi: Sequence[str], mode: str
                     ) -> tuple[tuple[str, ...], list[tuple]]:
-    """pi as a tuple and its agents' equitable lines (_lines) in its order,
-    the one check of the per-ordering entries: pi must be a permutation of
-    the agents (CakeError otherwise)."""
-    pi = tuple(pi)
-    if sorted(pi) != sorted(p.agents):
-        raise CakeError("ordering must be a permutation of the agents")
+    """pi as a tuple and its agents' equitable lines (_lines) in its order:
+    pi must be a permutation of the agents (_permutation, CakeError
+    otherwise)."""
+    pi = _permutation(p, pi)
     lines = _lines(p, mode)
     return pi, [lines[a] for a in pi]
 
@@ -159,12 +159,12 @@ def equitable_for_ordering(p: Problem, pi: Sequence[str], mode: str,
     the greedy chain fails when v is above the ordering's value, and below
     it no exact partition exists; both, a piece not worth v * scale, and a
     negative v raise InvariantError.  pi must be a permutation of the
-    agents (CakeError otherwise).
+    agents, and a v passed an exact rational (CakeError otherwise).
     """
     pi, lines = _ordering_lines(p, pi, mode)
     if v is None:
         v = Fraction(*_sweep(lines, (0, 1)))
-    if v < 0:
+    if _exact(v, "value") < 0:
         raise InvariantError(f"value {v} is below the ordering's value")
     cuts = _knife_cuts(p, pi, lines, (v.numerator, v.denominator))
     return EquitableResult(pi, cuts, v, mode)

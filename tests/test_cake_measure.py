@@ -1,5 +1,6 @@
 """Exact value measures, marks, and problem transforms."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -231,6 +232,37 @@ class TestProblemTransforms:
         assert [filled(q) for q in built] == [[]] * len(built)
         value(p.density("B"), Interval(0, 1))
         assert filled(p) == [p.grid, p.density("B")]
+
+    @pytest.mark.parametrize("first_use", ["mark", "value"])
+    @pytest.mark.parametrize("build", [
+        lambda: problem(["A", "B"], [1, F(1, 3)], [[1, 2], [F(3, 7), 0]]),
+        lambda: append(problem(["A", "B"], [1], [[1], [2]]), [F(1, 2)],
+                       {"A": [5], "B": [0]}),
+        lambda: problem_from_json({
+            "slices": [{"length": "1"}, {"length": "1/3"}],
+            "agents": [{"name": "A", "densities": ["1", "2"]},
+                       {"name": "B", "densities": ["3/7", "0"]}]}),
+    ], ids=["problem", "append", "problem_from_json"])
+    def test_construction_holds_no_kernel_entry(self, build, first_use):
+        """A new problem's grid and densities hold nothing but their
+        fields until the first mark or value: every kernel entry (the ints,
+        the int-pair views, c) is built on first use, so building a cake
+        costs no kernel pass, and an eager build would move that cost
+        into construction."""
+        def extra(p):
+            return [sorted(set(vars(o)) - {f.name for f in fields(o)})
+                    for o in (p.grid, *p.densities)]
+
+        p = build()
+        assert extra(p) == [[]] * (p.n + 1)
+        d = p.density("B")
+        if first_use == "mark":
+            leftmost_mark(d, F(0), F(1, 3))
+        else:
+            value(d, Interval(0, 1))
+        grid_entries, a_entries, b_entries = extra(p)
+        assert "scaled" in grid_entries and "scaled" in b_entries
+        assert a_entries == []
 
     def test_zero_length_slice_rejected(self):
         with pytest.raises(CakeError):

@@ -42,7 +42,11 @@ from cakecut.divisions import (
     validate_division,
 )
 
-from cakecut.rules_monotone import exact_proportional, max_equitable
+from cakecut.rules_monotone import (
+    equitable_for_ordering,
+    exact_proportional,
+    max_equitable,
+)
 
 from test_pruned_search import corpus, enumerated_pivot_max, mark_chain
 
@@ -347,6 +351,49 @@ class TestGreedyFit:
         assert greedy_fit(forced_pair(), ("A", "B"), {"A": F(100)}) is None
 
 
+INEXACT = [0.5, 1.0, True, "1/2"]
+
+
+@pytest.mark.parametrize("x", INEXACT, ids=repr)
+class TestInexactNumbersAreRefused:
+    """The public entries that read a number's numerator and denominator
+    refuse a float, a bool or a non-number with CakeError, where a float
+    raised AttributeError; an int or a Fraction is exact."""
+
+    def refused(self, x, what, call):
+        with pytest.raises(CakeError, match=f"^{what} must be an int or a "
+                                            f"Fraction, got "):
+            call()
+
+    def test_pivot_max_floor(self, x):
+        self.refused(x, "floor",
+                     lambda: pivot_max(forced_pair(), "A", {"B": x}))
+
+    def test_greedy_fit_target(self, x):
+        self.refused(x, "target", lambda: greedy_fit(
+            forced_pair(), ("A", "B"), {"A": x, "B": F(1)}))
+
+    def test_equitable_for_ordering_value(self, x):
+        self.refused(x, "value", lambda: equitable_for_ordering(
+            forced_pair(), ("A", "B"), RELATIVE, x))
+
+    @pytest.mark.parametrize("where", ["alpha", "beta", "start"])
+    def test_sweep_line(self, x, where):
+        args = {"alpha": [F(0), F(0)], "beta": [F(1), F(1)], "start": F(0)}
+        args[where] = x if where == "start" else [F(0), x]
+        self.refused(x, where, lambda: sup_uniform_feasible(
+            forced_pair(), ("A", "B"), args["alpha"], args["beta"],
+            args["start"]))
+
+
+def test_exact_numbers_are_taken_as_ints_and_fractions():
+    p = forced_pair()
+    assert pivot_max(p, "B", {"A": 8}) == pivot_max(p, "B", {"A": F(8)}) == 0
+    assert greedy_fit(p, ("A", "B"), {"A": 6, "B": F(8)}) == (1, 4)
+    assert equitable_for_ordering(p, ("A", "B"), ABSOLUTE, 6).cuts == (
+        equitable_for_ordering(p, ("A", "B"), ABSOLUTE, F(6)).cuts)
+
+
 class TestConstrainedMax:
     """pivot_max, the pivot's largest piece over all orderings given floors
     for the others, equals the max over permutations of the test's
@@ -415,6 +462,18 @@ class TestSweep:
         base = utilities(p, Division.of({"A": [], "B": []}))
         with pytest.raises(CakeError, match="^unknown agent 'Z'$"):
             max_slack(p, ("A", "Z"), base)
+
+    @pytest.mark.parametrize("pi", [("A", "A"), ("A",), ("B", "A", "B")],
+                             ids=["repeated", "short", "long"])
+    def test_max_slack_rejects_an_ordering_that_is_not_a_permutation(self,
+                                                                     pi):
+        # with empty base pieces ("A", "A") read 1/2 and ("A",) read 1,
+        # slacks for no partition among both agents
+        p = forced_pair()
+        base = utilities(p, Division.of({"A": [], "B": []}))
+        with pytest.raises(CakeError, match="^ordering must be a "
+                                            "permutation of the agents$"):
+            max_slack(p, pi, base)
 
     @pytest.mark.parametrize("pi, alphas, betas", [
         (("A",), [F(0)], [F(1), F(1)]),

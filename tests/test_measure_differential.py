@@ -16,6 +16,7 @@ corpus and as a Hypothesis property.
 import bisect
 import inspect
 import random
+import re
 import textwrap
 from fractions import Fraction as F
 from functools import cache
@@ -34,8 +35,10 @@ from cakecut.cake_measure import (
     SliceGrid,
     leftmost_mark,
     maximal_mark,
+    parse_rat,
     suffix_mark,
     total,
+    total_pair,
     value,
 )
 
@@ -578,22 +581,34 @@ def _over(m, xs):
     return tuple(x.numerator * (m // x.denominator) for x in xs)
 
 
+def _flat_pairs(xs):
+    """Each Fraction's numerator and denominator in turn."""
+    return tuple(n for x in xs for n in (x.numerator, x.denominator))
+
+
 def ref_kernel(d):
     """(S, B), (K, P, R), the breakpoints and the total as the kernel was
     built from Fractions: S is the lcm of the breakpoint denominators, and
     K the lcm of the denominators of the prefix sums and of the rates
-    values[k] / S."""
+    values[k] / S; then the int-pair views as their Fraction definitions:
+    the breakpoints' and the densities' numerators and denominators, c,
+    and the total over K."""
     bps, pre = ref_sums(d)
     s = lcm(*(x.denominator for x in bps))
     rates = [v / s for v in d.values]
     k = lcm(*(x.denominator for x in (*pre, *rates)))
     return ((s, _over(s, bps)), (k, _over(k, pre), _over(k, rates)),
-            bps, pre[-1])
+            bps, pre[-1],
+            _flat_pairs(bps), _flat_pairs(d.values), bps[-1],
+            (_over(k, pre)[-1], k))
 
 
 def kernel(d):
-    """The library's kernels and the Fraction views read from them."""
-    return d.grid.scaled, d.scaled, d.grid.breakpoints, total(d)
+    """The library's kernels, the Fraction views read from them and the
+    int-pair views the one-pass build sets."""
+    return (d.grid.scaled, d.scaled, d.grid.breakpoints, total(d),
+            d.grid.breakpoint_pairs, d.value_pairs, d.grid.cake_length,
+            total_pair(d))
 
 
 def test_kernel_matches_the_fraction_construction():
@@ -636,5 +651,196 @@ def kernel_densities(draw):
 @example(Density(SliceGrid((F(3, 65537),)), (F(5, 2**61 - 1),)))
 @example(Density(SliceGrid((F(1, 7), F(2, 10007), F(1), F(5, 3), F(1, 2))),
                  (F(0), F(3, 65537), F(0), F(2, 3), F(0))))
+@example(Density(SliceGrid((F(6, 4), F(2, 3), F(10, 4))),
+                 (F(4, 6), F(0), F(9, 12))))
 def test_kernel_matches_the_fraction_construction_property(d):
     assert kernel(d) == ref_kernel(d)
+
+
+def test_kernel_is_built_in_one_pass_on_first_read():
+    """Reading any one entry builds them all, on the grid and the
+    density; the Fraction breakpoints are built only when read."""
+    for name in ("scaled", "value_pairs"):
+        d = Density(SliceGrid((F(1, 2), F(3))), (F(2), F(1, 3)))
+        getattr(d, name)
+        assert set(vars(d)) >= {"scaled", "value_pairs"}
+        assert set(vars(d.grid)) == {"lengths", "scaled", "breakpoint_pairs",
+                                     "cake_length"}
+    for name in ("scaled", "breakpoint_pairs", "cake_length"):
+        g = SliceGrid((F(1, 2), F(3)))
+        getattr(g, name)
+        assert set(vars(g)) == {"lengths", "scaled", "breakpoint_pairs",
+                                "cake_length"}
+
+
+# ---------------------------------------------------------------------------
+# The one-frame entries against the two-step evaluator they replaced: the
+# prefix evaluator as its own call, which the mark and value entries called
+# on the same kernel ints
+
+
+def two_step_prefix(d, num, den):
+    """(k, K * den * value[0, x]) for x = num/den (den > 0), k the slice
+    right of x (len(values) at x = c); None outside the cake."""
+    s, b = d.grid.scaled
+    q, r = divmod(num * s, den)
+    c = b[-1]
+    if q < 0 or q > c or (q == c and r):
+        return None
+    m, p, rate = d.scaled
+    if q == c:
+        return len(d.values), p[-1] * den
+    k = bisect.bisect_right(b, q) - 1
+    return k, p[k] * den + rate[k] * ((q - b[k]) * den + r)
+
+
+def two_step_mark(d, xn, xd, tn, td, sign=1, last=False, step=False):
+    """The mark entry as one prefix evaluation (two_step_prefix) and then
+    the goal locate, a breakpoint mark read from the Fraction
+    breakpoints."""
+    if tn < 0:
+        raise CakeError("target must be nonnegative")
+    at = two_step_prefix(d, xn, xd)
+    if at is None:
+        what = "end" if sign < 0 else "point" if step else "start"
+        raise CakeError(f"{what} {F(xn, xd)} outside cake")
+    if tn == 0 and last != (sign > 0):
+        return xn, xd
+    m, p, rate = d.scaled
+    den = xd * td
+    g = at[1] * td + sign * tn * m * xd
+    if step:
+        left = p[-1] * den - g, m * den
+        if left[0] <= 0:
+            return left, None, at[0], None
+    elif g > p[-1] * den if sign > 0 else g < 0:
+        return None
+    q, r = divmod(g, den)
+    k = bisect.bisect_right(p, q) - 1
+    if r or p[k] != q:
+        s, b = d.grid.scaled
+        yn, yd = (b[k] * rate[k] + q - p[k]) * den + r, rate[k] * s * den
+        h = gcd(yn, yd)
+        y = yn // h, yd // h
+    else:
+        if not last:
+            while k > 0 and p[k - 1] == q:
+                k -= 1
+        y = ref_breakpoints(d)[k]
+        y = y.numerator, y.denominator
+    return (left, y, at[0], k) if step else y
+
+
+def two_step_value(d, an, ad, bn, bd):
+    """The value entry as two prefix evaluations (two_step_prefix)."""
+    top = two_step_prefix(d, bn, bd)
+    if top is None:
+        return None
+    bottom = two_step_prefix(d, an, ad)[1]
+    return top[1] * ad - bottom * bd, d.scaled[0] * ad * bd
+
+
+def _pairs(x, t):
+    return x.numerator, x.denominator, t.numerator, t.denominator
+
+
+@pytest.mark.parametrize("name", list(MARK_KINDS))
+def test_one_frame_mark_matches_the_two_step_evaluator(name):
+    """The mark entry's raw int pairs (or None, or the same CakeError and
+    message) equal the two-step evaluator's in every mark mode, at every
+    corpus point and target: outside points and negative targets
+    included."""
+    sign, last = MARK_KINDS[name]
+    mismatches = [
+        (d, x, t, got, want) for d, _, pairs in corpus() for x, t in pairs
+        if (got := _outcome(Density._mark, d, *_pairs(x, t), sign, last))
+        != (want := _outcome(two_step_mark, d, *_pairs(x, t), sign, last))]
+    assert not mismatches, mismatches[:5]
+
+
+def test_one_frame_step_matches_the_two_step_evaluator():
+    mismatches = [
+        (d, x, t, got, want) for d, x, t in step_cases()
+        if (got := _outcome(Density._mark, d, *_pairs(x, t), 1, True, True))
+        != (want := _outcome(two_step_mark, d, *_pairs(x, t), 1, True,
+                             True))]
+    assert not mismatches, mismatches[:5]
+
+
+@pytest.mark.parametrize("scale", [1, 3], ids=["reduced", "unreduced"])
+def test_one_frame_value_matches_the_two_step_evaluator(scale):
+    """The value entry's raw pair (or None past c) equals the two-step
+    evaluator's on the value cases, and prefix_at (the value entry from 0)
+    equals the evaluator's prefix at every corpus point, outside points
+    included."""
+    def ends(iv):
+        lo, hi = iv.lo, iv.hi
+        return (lo.numerator * scale, lo.denominator * scale,
+                hi.numerator * scale, hi.denominator * scale)
+
+    mismatches = [(d, iv, got, want) for d, iv in value_cases()
+                  if (got := _outcome(Density._value, d, *ends(iv)))
+                  != (want := _outcome(two_step_value, d, *ends(iv)))]
+    for d, points, _ in corpus():
+        for x in points:
+            at = two_step_prefix(d, x.numerator, x.denominator)
+            want = (("raised", CakeError, f"point {x} outside cake")
+                    if at is None else
+                    ("returned", F, repr(F(at[1],
+                                           d.scaled[0] * x.denominator))))
+            if (got := _outcome(d.prefix_at, x)) != want:
+                mismatches.append((d, x, got, want))
+    assert not mismatches, mismatches[:5]
+
+
+# ---------------------------------------------------------------------------
+# parse_rat against the regex it bypasses for unsigned strings
+
+
+RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def ref_parse_rat(s):
+    """parse_rat as the regex alone decided it."""
+    if isinstance(s, (float, bool)):
+        raise CakeError(f"bad rational {s!r}: write it as a \"p/q\" string")
+    if isinstance(s, int):
+        return F(s)
+    m = RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise CakeError(f"bad rational {s!r}")
+    num, den = m.groups()
+    try:
+        return F(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as e:
+        raise CakeError(f"bad rational {s!r}") from e
+
+
+BOUNDARY = ["\u0663", " 3 ", "1_000", "1/0", "3/-4", "", "1.5", "2E-2",
+            "1e3000000", "3\n", "\u00b2", "1/\u00b2", "\u00b2/3", "3/",
+            "/3", "/", "1//2", "1/2/3", "+3", "-3/4", "+-3", "007", "0/5",
+            "0", "-0", "10/4", "9" * 5000, "1/" + "9" * 5000, 1.5, 2.0, True,
+            False, None, [1], 7, -7]
+
+
+def _rational_strings():
+    """Short strings over digits, signs, slashes, spaces and look-alikes
+    (non-ASCII digits, fullwidth digits, an underscore), and well-formed
+    rationals with and without signs."""
+    chars = st.sampled_from("0123456789/+- _.eE\n\u0663\u00b2\uff11")
+    digits = st.text("0123456789", min_size=1, max_size=6)
+    return (st.text(chars, max_size=8)
+            | st.builds(lambda sign, n, d: sign + n + d,
+                        st.sampled_from(["", "+", "-"]), digits,
+                        st.sampled_from([""]) | digits.map("/".__add__)))
+
+
+@settings(max_examples=500)
+@given(_rational_strings())
+def test_parse_rat_matches_the_regex(s):
+    assert _outcome(parse_rat, s) == _outcome(ref_parse_rat, s)
+
+
+@pytest.mark.parametrize("s", BOUNDARY, ids=lambda s: repr(s)[:12])
+def test_parse_rat_matches_the_regex_on_the_boundary(s):
+    assert _outcome(parse_rat, s) == _outcome(ref_parse_rat, s)
