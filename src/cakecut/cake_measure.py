@@ -9,7 +9,6 @@ integer kernel summed from the numerators and denominators of the inputs
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -525,9 +524,6 @@ def append(p: Problem, extra_lengths: Sequence, extra_rows: dict[str, Sequence])
 # the schema (densities cover only the appended slices).
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rat(s) -> Rat:
     """Parse "p/q" or an integer string/number into an exact rational.
 
@@ -536,9 +532,8 @@ def parse_rat(s) -> Rat:
     exponents, underscores) are refused; an exponent would make it build
     the power in full.  JSON floats (and booleans, which are ints in
     Python) are refused: a float such as 1.1 is not the rational it was
-    written as.  Unsigned strings, the files' usual form, are split at the
-    slash without the regex: str.isdigit alone would accept non-ASCII
-    digits such as "²", so the string must also be ASCII.
+    written as.  str.isdigit alone would accept non-ASCII digits such as
+    "²", so the string must also be ASCII.
     """
     if isinstance(s, (float, bool)):
         raise CakeError(f"bad rational {s!r}: write it as a \"p/q\" string")
@@ -547,12 +542,10 @@ def parse_rat(s) -> Rat:
     if not isinstance(s, str):
         raise CakeError(f"bad rational {s!r}")
     num, slash, den = s.partition("/")
-    if not (s.isascii() and num.isdigit()
+    digits = num[1:] if num[:1] in "+-" else num
+    if not (s.isascii() and digits.isdigit()
             and (not slash or den.isdigit())):
-        m = _RATIONAL.fullmatch(s)
-        if m is None:
-            raise CakeError(f"bad rational {s!r}")
-        num, den = m.groups()
+        raise CakeError(f"bad rational {s!r}")
     try:
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as e:

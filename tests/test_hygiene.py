@@ -74,9 +74,11 @@ KERNEL_NAMES = {"scaled", "_prefix"}
 def kernel_reads(tree) -> list[str]:
     """Every attribute, name or import named after the integer
     representation: scaled (the grid's and the density's ints) or _prefix
-    (the prefix evaluator, whose values are in the kernel's units).  The
-    mark and value entries, _mark and _value, return plain rational pairs
-    and may be called anywhere."""
+    (the name of the former prefix evaluator, whose values were in the
+    kernel's units; prefix evaluation now runs inside _mark and _value,
+    and the name stays refused so such a helper cannot return outside
+    cake_measure).  The mark and value entries, _mark and _value, return
+    plain rational pairs and may be called anywhere."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):

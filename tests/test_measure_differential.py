@@ -794,7 +794,7 @@ def test_one_frame_value_matches_the_two_step_evaluator(scale):
 
 
 # ---------------------------------------------------------------------------
-# parse_rat against the regex it bypasses for unsigned strings
+# parse_rat against the regex that states its language
 
 
 RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
