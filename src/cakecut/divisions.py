@@ -264,20 +264,21 @@ def greedy_fit(p: Problem, pi: Sequence[str],
     Returns the cut vector (one cut per agent; the induced partition gives
     the last agent everything up to its cut, then extends to c), or None
     when the targets do not fit.  If this returns None, no connected
-    partition in this ordering meets all the targets.  Each target is read
-    when its agent's cut is taken, so none is read past a failing mark; a
-    missing, inexact (a float, say) or negative one is refused (CakeError).
-    The loop is _chain's, on int pairs; only the returned cuts are built as
-    Fractions.
+    partition in this ordering meets all the targets.  pi must be a
+    permutation of the agents (_permutation, CakeError otherwise).  Each
+    target is read when its agent's cut is taken, so none is read past a
+    failing mark; a missing, inexact (a float, say) or negative one is
+    refused (CakeError).  The loop is _chain's, on int pairs; only the
+    returned cuts are built as Fractions.
     """
     def step(a):
-        d = p.density(a)  # refuses an unknown agent before its target
+        d = p.density(a)
         if (t := targets.get(a)) is None:
             raise CakeError(f"no target for agent {a!r}")
         t = _exact(t, "target")
         return d, t.numerator, t.denominator
 
-    cuts = _chain(map(step, pi))
+    cuts = _chain(map(step, _permutation(p, pi)))
     return None if cuts is None else tuple(Fraction(*y) for y in cuts)
 
 
@@ -315,9 +316,9 @@ def fitting_orderings(p: Problem, target: Callable[[str], tuple[int, int]]
 def _permutation(p: Problem, pi: Sequence[str]) -> tuple[str, ...]:
     """pi as a tuple: the one check of the entries that take a full
     ordering, which must be a permutation of the agents (CakeError
-    otherwise)."""
+    otherwise, also for entries that are not agent names, by equality)."""
     pi = tuple(pi)
-    if sorted(pi) != sorted(p.agents):
+    if len(pi) != p.n or any(pi.count(a) != 1 for a in p.agents):
         raise CakeError("ordering must be a permutation of the agents")
     return pi
 
@@ -344,9 +345,10 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
                          start: Rat) -> Optional[Rat]:
     """Largest theta such that greedy_fit succeeds with per-agent targets
     alpha_i + beta_i * theta, for strictly positive betas and targets
-    nonnegative at start, and one alpha and one beta per agent of a
-    nonempty ordering (CakeError otherwise); None when start itself is
-    infeasible, so the supremum lies below start.
+    nonnegative at start, one alpha and one beta per agent of a nonempty
+    ordering, and an ordering that is a permutation of the agents
+    (CakeError otherwise); None when start itself is infeasible, so the
+    supremum lies below start.
 
     Targets increase in theta and marks are monotone in their targets, so
     every theta below a feasible one is feasible, and a sweep from any
@@ -361,6 +363,7 @@ def sup_uniform_feasible(p: Problem, pi: Sequence[str],
     if not pi or not len(pi) == len(alphas) == len(betas):
         raise CakeError("sweep requires a nonempty ordering and one alpha "
                         "and one beta per agent")
+    pi = _permutation(p, pi)
     start = _exact(start, "start")
     lines = [_sweep_line(p.density(a),
                          *_exact(alpha, "alpha").as_integer_ratio(),
@@ -484,10 +487,9 @@ def max_slack(p: Problem, pi: Sequence[str],
     fit in this ordering.  In the library it serves only the WPO witness:
     check_wpo_connected sweeps the one ordering its table names.  An
     unknown agent in pi is refused (CakeError), and so is a pi that is not
-    a permutation of the agents, as for the equitable entries: a slack
-    must leave a partition among all of them."""
+    a permutation of the agents (sup_uniform_feasible's check), as for the
+    equitable entries: a slack must leave a partition among all of them."""
     betas = [total(p.density(a)) for a in pi]  # refuses an unknown agent
-    pi = _permutation(p, pi)
     return sup_uniform_feasible(p, pi, [base.absolute[a] for a in pi], betas,
                                 Fraction(0))
 

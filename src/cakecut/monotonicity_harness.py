@@ -2,10 +2,11 @@
 checks for any registered rule, the scripted counterexample fixture suite
 and the recomputed rule-property grid.
 
-Monotonicity comparisons use absolute utilities and existential semantics
-over a rule's output set: enlarging the cake (or an agent leaving) must
-admit some new division weakly better for every compared agent, and the
-reverse change some division weakly worse.
+Monotonicity comparisons use absolute utilities, one vector per rule run:
+enlarging the cake (or an agent leaving) must give every compared agent
+weakly more, and the reverse change weakly less.  One vector suffices as
+every registered rule is essentially single-valued (one division, or
+divisions that all give the one vector the rule certifies).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import rules_classic, rules_monotone
 from .cake_measure import (
     CakeError,
     Interval,
+    InvariantError,
     Problem,
     Rat,
     append,
@@ -107,23 +109,28 @@ class MonotonicityVerdict:
     witness_pair: Optional[tuple[Division, Division]] = None
 
 
-def _run(rule: Rule, p: Problem) -> list[tuple[Division, dict[str, Rat]]]:
-    """Each division of the rule's output set with its absolute utilities,
-    one dict per division: a copy of the output's certified vector when the
-    rule hands one over (the equitable rules), else the division valued."""
+def _run(rule: Rule, p: Problem) -> tuple[Division, dict[str, Rat]]:
+    """The rule's first division with its absolute utilities: the output's
+    certified vector when it has one (the equitable rules), else its one
+    division valued; several divisions and no certified vector raise
+    InvariantError, under python -O too."""
     out = rule.run(p)
     if out.utilities is not None:
-        return [(x, dict(out.utilities)) for x in out.divisions]
-    return [(x, utilities(p, x, rule.mode).absolute) for x in out.divisions]
+        return out.divisions[0], out.utilities
+    if len(out.divisions) != 1:
+        raise InvariantError(f"rule {rule.name!r} returned {len(out.divisions)}"
+                             " divisions and no certified utility vector")
+    x = out.divisions[0]
+    return x, utilities(p, x, rule.mode).absolute
 
 
 # One-slot memo of the base problem of check_rm and check_pm: [the most
 # recent base problem, held strongly so that its id cannot be reused while
-# it sits here; each rule's outputs on it, stored immutably; its most
-# recent enlargement, normalised by cake_measure.enlargement into new
-# containers that the caller's lists cannot change; append's result on
-# it].  An enlargement is stored only once append has built it, so an
-# invalid one raises on every call.
+# it sits here; each rule's run on it, one division and its utilities
+# stored immutably; its most recent enlargement, normalised by
+# cake_measure.enlargement into new containers that the caller's lists
+# cannot change; append's result on it].  An enlargement is stored only
+# once append has built it, so an invalid one raises on every call.
 #
 # check_rm then check_pm on one problem runs each rule once on it, and
 # check_rm of several rules on one problem and an equal enlargement runs
@@ -142,11 +149,11 @@ def _memo(p: Problem) -> list:
     return _base
 
 
-def _run_base(rule: Rule, p: Problem
-              ) -> tuple[tuple[Division, Mapping[str, Rat]], ...]:
+def _run_base(rule: Rule, p: Problem) -> tuple[Division, Mapping[str, Rat]]:
     runs = _memo(p)[1]
     if rule not in runs:
-        runs[rule] = tuple((x, MappingProxyType(u)) for x, u in _run(rule, p))
+        x, u = _run(rule, p)
+        runs[rule] = x, MappingProxyType(u)
     return runs[rule]
 
 
@@ -160,27 +167,16 @@ def _enlarged(p: Problem, extra_lengths, extra_rows) -> Problem:
     return memo[3]
 
 
-def _exists_verdict(axiom, direction, agents, base, other, sign) -> MonotonicityVerdict:
-    """pass iff for every base division some other division is weakly
-    better (sign=+1) or weakly worse (sign=-1) for every compared agent."""
-
-    def dominates(u_other, u_base):
-        if sign > 0:
-            return all(u_other[a] >= u_base[a] for a in agents)
-        return all(u_other[a] <= u_base[a] for a in agents)
-
-    first = None
-    for xb, ub in base:
-        match = next(((xo, uo) for xo, uo in other if dominates(uo, ub)), None)
-        if match is None:
-            # report the closest candidate for diagnostics
-            xo, uo = max(other,
-                         key=lambda t: min(sign * (t[1][a] - ub[a]) for a in agents))
-            return MonotonicityVerdict(axiom, direction, False, agents,
-                                       dict(ub), dict(uo), (xb, xo))
-        first = first or (xb, ub, *match)
-    xb, ub, xo, uo = first
-    return MonotonicityVerdict(axiom, direction, True, agents, dict(ub),
+def _verdict(axiom, direction, agents, base, other, sign) -> MonotonicityVerdict:
+    """pass iff the other run is weakly better (sign=+1) or weakly worse
+    (sign=-1) than the base run for every compared agent; the two runs'
+    divisions are the witness pair."""
+    (xb, ub), (xo, uo) = base, other
+    if sign > 0:
+        ok = all(uo[a] >= ub[a] for a in agents)
+    else:
+        ok = all(uo[a] <= ub[a] for a in agents)
+    return MonotonicityVerdict(axiom, direction, ok, agents, dict(ub),
                                dict(uo), (xb, xo))
 
 
@@ -195,8 +191,8 @@ def check_rm(name: str, p: Problem, extra_lengths,
     # an empty enlargement returns p itself
     big_out = small_out if big is p else _run(rule, big)
     return [
-        _exists_verdict("RM", "upwards", p.agents, small_out, big_out, +1),
-        _exists_verdict("RM", "downwards", p.agents, big_out, small_out, -1),
+        _verdict("RM", "upwards", p.agents, small_out, big_out, +1),
+        _verdict("RM", "downwards", p.agents, big_out, small_out, -1),
     ]
 
 
@@ -209,8 +205,8 @@ def check_pm(name: str, p: Problem, leaving: str) -> list[MonotonicityVerdict]:
     red_out = _run(rule, reduced)
     agents = reduced.agents
     return [
-        _exists_verdict("PM", "downwards", agents, full_out, red_out, +1),
-        _exists_verdict("PM", "upwards", agents, red_out, full_out, -1),
+        _verdict("PM", "downwards", agents, full_out, red_out, +1),
+        _verdict("PM", "upwards", agents, red_out, full_out, -1),
     ]
 
 
@@ -323,9 +319,6 @@ def _fx_noop() -> list[Claim]:
     _claim(claims, "noop/rm-identical", True, all(v.ok for v in verdicts))
     return claims
 
-
-# The rules of cc-rm, sc-rm, ds-pm and fink-pm have one output each, so a
-# verdict's before and after are the utilities of the two runs it compared.
 
 def _fx_cc_rm() -> list[Claim]:
     claims: list[Claim] = []
@@ -441,7 +434,7 @@ def _fx_prefix_wpo() -> list[Claim]:
     p = cake_prefix_greedy()
     for name in ("banach-knaster", "dubins-spanier", "even-paz"):
         rule = get_rule(name)
-        x, u = _run(rule, p)[0]
+        x, u = _run(rule, p)
         _claim(claims, f"classic-wpo/{name}-utilities", "(2, 5, 5)",
                _tup(u["A"], u["B"], u["C"]))
         result = check_wpo_connected(p, x)
@@ -462,7 +455,7 @@ def _witness_claims(tag: str, p: Problem, name: str, output: str,
     witness is strictly better for every agent."""
     claims: list[Claim] = []
     rule = get_rule(name)
-    u = _run(rule, p)[0][1]
+    _, u = _run(rule, p)
     _claim(claims, f"{tag}/output", output, _tup(*(u[a] for a in p.agents)))
     wu = utilities(p, witness, rule.mode).absolute
     _claim(claims, f"{tag}/witness", witness_values,
@@ -591,7 +584,7 @@ def compute_grid() -> dict[str, dict[str, str]]:
                 cx for (r, _), cx in GRID_COUNTEREXAMPLES.items() if r == name)):
             p = cake()
             if rule.arity in (None, p.n):
-                runs[cake] = (p, [x for x, _ in _run(rule, p)])
+                runs[cake] = (p, rule.run(p).divisions)
         corpus = [runs[c] for c in GRID_CORPUS if c in runs]
         row = {}
         for column, (check, yes) in GRID_CHECKS.items():

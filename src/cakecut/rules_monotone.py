@@ -61,8 +61,8 @@ class RuleOutput:
     absolute utility vector every division of the set gives (value *
     scale_a, certified by the least-exact-partition builder, _knife_cuts)
     and, maximised over orderings, the argmax ordering of each division.
-    utilities is None when the rule does not know it; utilities(p, x,
-    mode).absolute values each division then."""
+    A rule without a certified vector leaves utilities None and returns
+    one division, which utilities(p, x, mode).absolute values."""
 
     divisions: list[Division]
     value: Optional[Rat] = None

@@ -1,5 +1,6 @@
 """Golden-file style CLI tests: stable line-oriented output and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -444,6 +445,14 @@ class TestOtherCommands:
         assert code == 0
         assert len(out.splitlines()) == 76
         assert out == PAPER_TABLES
+
+    def test_paper_tables_digest(self, capsys):
+        code = main(["paper-tables"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.splitlines()) == 76
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ee9cf2301cf5eb0246b092996f8c81f1f76819d6077e7ee9630caf57f33be02e")
 
     def test_paper_tables_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "paper-tables", "--only", "bogus")

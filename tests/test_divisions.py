@@ -350,6 +350,14 @@ class TestGreedyFit:
         # A's 100 does not fit, so B's missing target is never read
         assert greedy_fit(forced_pair(), ("A", "B"), {"A": F(100)}) is None
 
+    @pytest.mark.parametrize("pi", [("A", "A"), ("A", 1)],
+                             ids=["repeated", "not-a-name"])
+    def test_rejects_an_ordering_that_is_not_a_permutation(self, pi):
+        # ("A", "A") returned cuts (1/2, 1), for no partition among both
+        with pytest.raises(CakeError, match="^ordering must be a "
+                                            "permutation of the agents$"):
+            greedy_fit(forced_pair(), pi, {"A": 3})
+
 
 INEXACT = [0.5, 1.0, True, "1/2"]
 
@@ -486,6 +494,16 @@ class TestSweep:
         with pytest.raises(CakeError, match="^sweep requires a nonempty "
                                             "ordering"):
             sup_uniform_feasible(forced_pair(), pi, alphas, betas, F(0))
+
+    @pytest.mark.parametrize("pi", [("A", "A"), ("A",), ("A", 1)],
+                             ids=["repeated", "short", "not-a-name"])
+    def test_sweep_rejects_an_ordering_that_is_not_a_permutation(self, pi):
+        # ("A", "A") read 1/2 and ("A",) read 1, suprema for no partition
+        # among both agents
+        with pytest.raises(CakeError, match="^ordering must be a "
+                                            "permutation of the agents$"):
+            sup_uniform_feasible(forced_pair(), pi, [0] * len(pi),
+                                 [8] * len(pi), 0)
 
     def test_max_slack_monotone_in_base(self):
         p = nash_cake()

@@ -1,16 +1,28 @@
 """Monotonicity harness semantics and the scripted fixture suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from cakecut import monotonicity_harness
-from cakecut.cake_measure import CakeError, append, problem
-from cakecut.divisions import ABSOLUTE, RELATIVE, utilities
+from cakecut.cake_measure import (
+    CakeError,
+    Interval,
+    InvariantError,
+    append,
+    problem,
+    remove_agent,
+)
+from cakecut.divisions import ABSOLUTE, CONNECTED, RELATIVE, Division, utilities
 from cakecut.monotonicity_harness import (
     FIXTURES,
     GRID_EXPECTED,
     RULES,
+    MonotonicityVerdict,
+    Rule,
     check_pm,
     check_rm,
     compute_grid,
@@ -18,7 +30,7 @@ from cakecut.monotonicity_harness import (
     run_all_fixtures,
     run_fixture,
 )
-from cakecut.rules_monotone import max_equitable
+from cakecut.rules_monotone import RuleOutput, max_equitable
 
 import randomized_suites as rs
 
@@ -65,6 +77,40 @@ class TestHarness:
             for p, extra in pairs:
                 up, down = check_rm(name, p, *extra)
                 assert up.ok == down.ok
+
+    def test_several_divisions_without_a_vector_are_refused(self):
+        rule = Rule("two-ways", CONNECTED, 2, lambda p: RuleOutput(
+            [Division.of({"A": [Interval(F(0), F(2))],
+                          "B": [Interval(F(2), F(4))]}),
+             Division.of({"A": [Interval(F(2), F(4))],
+                          "B": [Interval(F(0), F(2))]})]))
+        with pytest.raises(InvariantError, match="^rule 'two-ways' returned "
+                           "2 divisions and no certified utility vector$"):
+            monotonicity_harness._run(rule, halves_pair())
+
+    def test_several_divisions_without_a_vector_under_python_O(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from cakecut import monotonicity_harness as mh\n"
+            "from cakecut.cake_measure import Interval, InvariantError\n"
+            "from cakecut.divisions import Division\n"
+            "from cakecut.rules_monotone import RuleOutput\n"
+            "def piece(lo, hi):\n"
+            "    return [Interval(F(lo), F(hi))]\n"
+            "xs = [Division.of({'A': piece(0, 2), 'B': piece(2, 4)}),\n"
+            "      Division.of({'A': piece(2, 4), 'B': piece(0, 2)})]\n"
+            "rule = mh.Rule('two-ways', 'connected', 2,\n"
+            "               lambda p: RuleOutput(xs))\n"
+            "try:\n"
+            "    mh._run(rule, mh.cake_two_agent_halves())\n"
+            "except InvariantError as e:\n"
+            "    print(e)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == ("rule 'two-ways' returned 2 divisions and no "
+                              "certified utility vector\n")
 
     def test_arity_enforced(self):
         p = problem(["A", "B", "C"], [1], [[1], [1], [1]])
@@ -221,10 +267,58 @@ def fitting_rules(p):
 
 
 def valued_run(rule, p):
-    """The harness's rule run with every division valued: the oracle for
+    """The rule's output set with every division valued: the oracle for
     the certified vector the equitable rules hand over."""
     return [(x, utilities(p, x, rule.mode).absolute)
             for x in rule.run(p).divisions]
+
+
+def exists_verdict(axiom, direction, agents, base, other, sign):
+    """The existential verdict over two valued output sets, the oracle for
+    the harness's one-vector verdict: pass iff for every base division
+    some other division is weakly better (sign=+1) or weakly worse
+    (sign=-1) for every compared agent."""
+
+    def dominates(u_other, u_base):
+        if sign > 0:
+            return all(u_other[a] >= u_base[a] for a in agents)
+        return all(u_other[a] <= u_base[a] for a in agents)
+
+    first = None
+    for xb, ub in base:
+        match = next(((xo, uo) for xo, uo in other if dominates(uo, ub)),
+                     None)
+        if match is None:
+            # report the closest candidate for diagnostics
+            xo, uo = max(other, key=lambda t: min(
+                sign * (t[1][a] - ub[a]) for a in agents))
+            return MonotonicityVerdict(axiom, direction, False, agents,
+                                       dict(ub), dict(uo), (xb, xo))
+        first = first or (xb, ub, *match)
+    xb, ub, xo, uo = first
+    return MonotonicityVerdict(axiom, direction, True, agents, dict(ub),
+                               dict(uo), (xb, xo))
+
+
+def oracle_checked(p, extra, leaver):
+    """checked's verdicts from exists_verdict over valued_run, each rule on
+    fresh copies of the problem and enlargement, without the harness."""
+    verdicts = []
+    for rule in fitting_rules(p):
+        q, q_extra = copied(p, extra)
+        small, big = valued_run(rule, q), valued_run(rule, append(q, *q_extra))
+        rm = [exists_verdict("RM", "upwards", q.agents, small, big, +1),
+              exists_verdict("RM", "downwards", q.agents, big, small, -1)]
+        pm = None
+        if rule.arity is None:
+            reduced = remove_agent(q, leaver)
+            red = valued_run(rule, reduced)
+            pm = [exists_verdict("PM", "downwards", reduced.agents, small,
+                                 red, +1),
+                  exists_verdict("PM", "upwards", reduced.agents, red,
+                                 small, -1)]
+        verdicts.append((rule.name, rm, pm))
+    return verdicts
 
 
 def copied(p, extra):
@@ -244,8 +338,9 @@ def checked(p, extra, leaver):
 
 
 class TestDifferential:
-    """The memo and the equitable rules' certified vectors change no
-    utility, verdict or witness pair."""
+    """The memo, the equitable rules' certified vectors and the one-vector
+    verdict change no utility, verdict or witness pair of the existential
+    verdict over every valued division (exists_verdict)."""
 
     def test_tie_heavy_cakes_have_several_argmax_orderings(self):
         for p, _, _ in tie_heavy_cases():
@@ -256,27 +351,25 @@ class TestDifferential:
         for p, extra, _ in differential_cases():
             for q in (p, append(p, *extra)):
                 for rule in fitting_rules(q):
-                    assert monotonicity_harness._run(rule, q) == \
-                        valued_run(rule, q), (rule.name, q)
+                    valued = valued_run(rule, q)
+                    assert monotonicity_harness._run(rule, q) == valued[0], \
+                        (rule.name, q)
+                    assert all(u == valued[0][1] for _, u in valued), \
+                        (rule.name, q)
 
-    def test_verdicts_equal_fresh_runs_without_the_memo(self, monkeypatch):
+    def test_verdicts_equal_fresh_runs_without_the_memo(self):
         cases = differential_cases()
         memoised = [checked(*case) for case in cases]
-        monkeypatch.setattr(monotonicity_harness, "_run", valued_run)
-        for (p, extra, leaver), got in zip(cases, memoised):
-            fresh = []
-            for rule in fitting_rules(p):
-                monkeypatch.setattr(monotonicity_harness, "_base",
-                                    [None, {}, None, None])
-                q, q_extra = copied(p, extra)
-                rm = check_rm(rule.name, q, *q_extra)
-                monkeypatch.setattr(monotonicity_harness, "_base",
-                                    [None, {}, None, None])
-                q, _ = copied(p, extra)
-                pm = (check_pm(rule.name, q, leaver)
-                      if rule.arity is None else None)
-                fresh.append((rule.name, rm, pm))
-            assert got == fresh, p
+        for case, got in zip(cases, memoised):
+            assert got == oracle_checked(*case), case[0]
+
+    def test_directions_agree_and_mirror_witnesses(self):
+        for case in differential_cases():
+            for name, rm, pm in checked(*case):
+                for first, second in filter(None, (rm, pm)):
+                    assert first.ok == second.ok, name
+                    assert first.witness_pair == second.witness_pair[::-1], \
+                        name
 
 
 class TestFixtures:
